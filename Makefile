@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; see bench/README.md for the
 # benchmark suite.
 
-.PHONY: all build test bench bench-smoke chaos chaos-net service batch durability fabric migration loadgen check clean
+.PHONY: all build test bench bench-smoke chaos chaos-net chaos-sweep service batch durability fabric migration loadgen check clean
 
 all: build
 
@@ -51,6 +51,30 @@ chaos:
 #   dune exec bin/amoeba.exe -- chaos --seed N --net adversarial
 chaos-net:
 	dune build @chaos-net-smoke
+
+# Hostile-net chaos sweep: SWEEP_SEEDS seeds on each of ether, switch
+# and switch:2x3@2, all with the adversarial link profile.  The seed
+# also picks the group size (3-5), resilience (0..m-2) and method
+# (pb/bb), so the sweep covers every combination.  Prints the replay
+# line of each failing run and fails if there was one.  Extra chaos
+# flags go in SWEEP_FLAGS, e.g.
+#   make chaos-sweep SWEEP_FLAGS="--pipeline 4 --ops-per-send 3"
+SWEEP_SEEDS ?= 300
+SWEEP_FLAGS ?=
+chaos-sweep:
+	dune build bin/amoeba.exe
+	@fails=0; runs=0; \
+	for net in ether switch switch:2x3@2; do \
+	  for seed in $$(seq 1 $(SWEEP_SEEDS)); do \
+	    m=$$((3 + seed % 3)); k=$$((seed / 3)); r=$$((k % (m - 1))); \
+	    if [ $$((k / (m - 1) % 2)) -eq 0 ]; then meth=pb; else meth=bb; fi; \
+	    args="--seed $$seed -m $$m -r $$r --method $$meth --net $$net+adversarial $(SWEEP_FLAGS)"; \
+	    runs=$$((runs + 1)); \
+	    ./_build/default/bin/amoeba.exe chaos $$args > /dev/null \
+	      || { echo "FAIL: amoeba chaos $$args"; fails=$$((fails + 1)); }; \
+	  done; \
+	done; \
+	echo "chaos-sweep: $$fails of $$runs runs failed"; [ $$fails -eq 0 ]
 
 # Fixed-seed sharded-service workloads with per-shard invariant checks,
 # including sequencer- and follower-crash runs (also part of

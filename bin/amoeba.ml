@@ -212,7 +212,22 @@ let chaos_cmd =
             "Concurrent groups sharing the wire (sequencers spread over \
              machines); invariants are checked independently per group.")
   in
-  let run seed members groups r method_ msgs schedule (fabric, net) disk =
+  let chaos_pipeline_t =
+    Arg.(
+      value & opt int 1
+      & info [ "pipeline" ]
+          ~doc:"Sequencer rounds each kernel keeps in flight (1 = lock-step).")
+  in
+  let ops_per_send_t =
+    Arg.(
+      value & opt int 1
+      & info [ "ops-per-send" ]
+          ~doc:
+            "Declare every send as a batch of this many client ops to the \
+             kernel's cost accounting.")
+  in
+  let run seed members groups r method_ msgs schedule (fabric, net) disk
+      pipeline ops_per_send =
     let schedule =
       match (schedule, disk) with
       | Some s, _ -> Some (Fault.of_string s)
@@ -224,7 +239,7 @@ let chaos_cmd =
     in
     let o =
       Chaos.run ~n:members ~groups ~resilience:r ~send_method:method_ ~msgs
-        ?schedule ~net ~fabric ?disk ~seed ()
+        ?schedule ~net ~fabric ~pipeline ~ops_per_send ?disk ~seed ()
     in
     Chaos.print_report o;
     if not (Chaos.ok o) then exit 1
@@ -237,7 +252,8 @@ let chaos_cmd =
           durable-recovery invariants.")
     Term.(
       const run $ seed_t $ chaos_members_t $ chaos_groups_t $ resilience_t
-      $ method_t $ msgs_t $ schedule_t $ net_t $ disk_t)
+      $ method_t $ msgs_t $ schedule_t $ net_t $ disk_t $ chaos_pipeline_t
+      $ ops_per_send_t)
 
 (* ----- the sharded service layer ----- *)
 

@@ -155,6 +155,8 @@ type t = {
       (** (ops, payload) keyed by [bb_key ~sender ~msgid] *)
   mutable last_msgid : int array;
       (** mid-indexed delivery dedup across recoveries; [min_int] = none *)
+  mutable last_msgid_seq : seqno array;
+      (** mid-indexed: the seq [last_msgid] was delivered at *)
   mutable status_req : int * Wire.msg;  (** interned per incarnation *)
   mutable msgid_counter : int;
   mutable inflight : pending_send list;
@@ -239,14 +241,21 @@ let last_msgid_of t m =
   if m >= 0 && m < Array.length t.last_msgid then t.last_msgid.(m)
   else min_int
 
-let note_msgid t m v =
+let note_msgid t m v ~seq =
   let n = Array.length t.last_msgid in
   if m >= n then begin
-    let arr = Array.make (max (m + 1) (2 * max n 8)) min_int in
+    let size = max (m + 1) (2 * max n 8) in
+    let arr = Array.make size min_int in
+    let seqs = Array.make size (-1) in
     Array.blit t.last_msgid 0 arr 0 n;
-    t.last_msgid <- arr
+    Array.blit t.last_msgid_seq 0 seqs 0 n;
+    t.last_msgid <- arr;
+    t.last_msgid_seq <- seqs
   end;
-  if v > t.last_msgid.(m) then t.last_msgid.(m) <- v
+  if v > t.last_msgid.(m) then begin
+    t.last_msgid.(m) <- v;
+    t.last_msgid_seq.(m) <- seq
+  end
 
 let ack_get s m = if m >= 0 && m < Array.length s.acks then s.acks.(m) else -1
 
@@ -440,20 +449,31 @@ let rec become_sequencer t ~first_seq =
   let next_mid =
     1 + List.fold_left (fun acc (m, _) -> max acc m) (-1) t.members
   in
-  t.seqs <-
-    Some
-      {
-        next_seq = first_seq;
-        stable_frontier = first_seq;
-        acks = Array.make (max next_mid 8) (-1);
-        dedup_msgid = Array.make (max next_mid 8) (-1);
-        dedup_seq = Array.make (max next_mid 8) (-1);
-        tents = Hashtbl.create 8;
-        parked = Queue.create ();
-        soliciting = false;
-        next_mid;
-        pending_joins = [];
-      };
+  let s =
+    {
+      next_seq = first_seq;
+      stable_frontier = first_seq;
+      acks = Array.make (max next_mid 8) (-1);
+      dedup_msgid = Array.make (max next_mid 8) (-1);
+      dedup_seq = Array.make (max next_mid 8) (-1);
+      tents = Hashtbl.create 8;
+      parked = Queue.create ();
+      soliciting = false;
+      next_mid;
+      pending_joins = [];
+    }
+  in
+  (* Request dedup starts from what we delivered as a member: a sender
+     whose send the old configuration already delivered resubmits it
+     after the handover, and a second sequence number for it would be
+     dropped as a duplicate by every member — a hole in every stream.
+     The dedup answer re-sends the delivered copy instead. *)
+  Array.iteri
+    (fun m msgid ->
+      if msgid <> min_int then
+        dedup_set s m ~msgid ~seq:t.last_msgid_seq.(m))
+    t.last_msgid;
+  t.seqs <- Some s;
   t.seq_mid <- t.mid;
   (* Fresh acknowledgement state: ask everyone where they stand so the
      history can be pruned again. *)
@@ -466,16 +486,20 @@ and deliver_entry t (e : History.entry) =
   let dup = duplicate_user_message t ~sender:e.sender ~msgid:e.msgid e.payload in
   if dup then t.st.duplicates_dropped <- t.st.duplicates_dropped + 1;
   (match e.payload with
-  | User _ -> note_msgid t e.sender e.msgid
+  | User _ -> note_msgid t e.sender e.msgid ~seq:e.seq
   | Ctrl _ -> ());
   (* The sequencer's history is managed strictly (appended at
      stabilisation, pruned by acknowledgements); only a plain member
-     records deliveries in its evicting window here. *)
+     records deliveries in its evicting window here.  So does a frozen
+     ex-sequencer catching up by fetch replay: its sequencer state
+     dies with the old configuration, and if it installs the next one
+     as sequencer it must be able to serve NACKs for what it
+     replayed. *)
   (match t.seqs with
-  | Some s ->
+  | Some s when t.life <> Frozen ->
       t.nxt <- e.seq + 1;
       ack_set s t.mid e.seq
-  | None ->
+  | Some _ | None ->
       History.add_evicting t.history e;
       t.nxt <- e.seq + 1);
   (* Application-visible effect *)
@@ -1706,6 +1730,7 @@ let make flip ~cfg ~gaddr =
         Window.create ~initial:64 ~dummy:{ s_data = None; s_accepted = false } ();
       bb_wait = Hashtbl.create 16;
       last_msgid = [||];
+      last_msgid_seq = [||];
       status_req = (-1, Wire.Status_req { inc = -1 });
       msgid_counter = 0;
       inflight = [];

@@ -204,24 +204,33 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
         dst := (mid, body) :: !dst
     | Error _ -> incr n_err
   in
+  (* Returns an ivar filled once the last tagged send has returned. *)
   let spawn_sender j i g =
     let mid = (Api.get_info_group g).Api.my_mid in
     let gap = max (Time.ms 1) (horizon * 2 / 3 / max 1 msgs) in
+    let sent = Ivar.create () in
     Cluster.spawn_on c i (fun () ->
         Engine.sleep eng (Time.ms 30 + (mid * Time.ms 7) + (j * Time.ms 3));
         for k = 1 to msgs do
           record_send j mid (Printf.sprintf "o%d.%d" mid k) g;
+          if k = msgs then Ivar.fill sent ();
           Engine.sleep eng gap
-        done)
+        done;
+        ignore (Ivar.try_fill sent ()));
+    sent
   in
   (* A flush after the horizon (quiet net: loss bursts over,
      partitions healed) gives every member that silently lost the
      tail of the stream a later sequence number to notice the gap
-     against, so NACK repair can run before the invariants are read. *)
-  let spawn_flush j i g =
+     against, so NACK repair can run before the invariants are read.
+     It is the member's last numbered message, so it waits for a
+     sender still stuck in an earlier send: the checker holds each
+     origin to sending in numbered order. *)
+  let spawn_flush j i g ~sent =
     let mid = (Api.get_info_group g).Api.my_mid in
     Cluster.spawn_on c i (fun () ->
         Engine.sleep eng (max 0 (horizon + Time.sec 3 - Engine.now eng));
+        Ivar.read eng sent;
         record_send j mid (Printf.sprintf "o%d.%d" mid (msgs + 1)) g)
   in
   let addrs = Array.make groups None in
@@ -240,8 +249,7 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
         add_stream j (label j creator)
           ((not crashed.(creator)) && not has_cycle)
           creator gj;
-        spawn_sender j creator gj;
-        spawn_flush j creator gj;
+        spawn_flush j creator gj ~sent:(spawn_sender j creator gj);
         for k = 1 to n - 1 do
           let i = (creator + k) mod n in
           match
@@ -250,8 +258,7 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
           with
           | Ok g ->
               add_stream j (label j i) ((not crashed.(i)) && not has_cycle) i g;
-              spawn_sender j i g;
-              spawn_flush j i g
+              spawn_flush j i g ~sent:(spawn_sender j i g)
           | Error _ ->
               (* A hostile enough net can defeat the join handshake's
                  bounded retries; the member simply never joins.  On a

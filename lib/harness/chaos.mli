@@ -76,7 +76,8 @@ val run :
     [j] created by machine [j mod n], every machine a member of every
     group, all sharing the one Ethernet — has every member send [msgs]
     tagged messages per group over the first 2/3 of [horizon] (default
-    2s) plus one flush message after the faults end, applies the
+    2s) plus one flush message after the faults end (and after that
+    member's last tagged send has returned), applies the
     schedule (default: {!Fault.random} from [seed]), runs 8 simulated
     seconds past the horizon so recovery can settle, and checks all
     four invariants {e independently per group} (verdicts are prefixed

@@ -116,6 +116,20 @@ let transmit t port frame =
   | Switch s, Switch_port p -> Switch.transmit s p frame
   | _ -> invalid_arg "Medium.transmit: port from another medium"
 
+(* Multicast subscriptions matter only to a snooping switch: on the
+   shared wire every NIC hears every frame and filters for itself. *)
+let join_multicast t port g =
+  match (t, port) with
+  | Ether _, Ether_port _ -> ()
+  | Switch s, Switch_port p -> Switch.join_multicast s p g
+  | _ -> invalid_arg "Medium.join_multicast: port from another medium"
+
+let leave_multicast t port g =
+  match (t, port) with
+  | Ether _, Ether_port _ -> ()
+  | Switch s, Switch_port p -> Switch.leave_multicast s p g
+  | _ -> invalid_arg "Medium.leave_multicast: port from another medium"
+
 let set_drop_fun t f =
   match t with
   | Ether e -> Ether.set_drop_fun e f

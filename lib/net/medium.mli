@@ -78,6 +78,16 @@ val port_id : port -> int
 
 val transmit : t -> port -> Frame.t -> [ `Sent | `Dropped ]
 
+val join_multicast : t -> port -> int -> unit
+(** Reports that the NIC behind [port] now accepts multicast group
+    [g] — the IGMP membership report a snooping switch listens for.
+    The switch forwards [g]'s frames only toward ports that joined it;
+    on the shared wire every station hears every frame anyway, so the
+    call is a no-op there. *)
+
+val leave_multicast : t -> port -> int -> unit
+(** The matching leave report; a no-op on the shared wire. *)
+
 (** {1 Fault injection} — dispatched to the underlying fabric; see
     {!Ether} for the full semantics of each call. *)
 

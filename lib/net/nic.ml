@@ -99,8 +99,16 @@ let create engine cost trace net ~group ~station ~host ~cpu ~alive =
 
 let station t = t.station
 let set_handler t h = t.handler <- Some h
-let join_multicast t g = t.mc_groups <- Int_set.add g t.mc_groups
-let leave_multicast t g = t.mc_groups <- Int_set.remove g t.mc_groups
+(* The Lance filters multicast exactly; the membership is also
+   reported to the medium, so a snooping switch stops forwarding the
+   group's frames to hosts that would only drop them. *)
+let join_multicast t g =
+  t.mc_groups <- Int_set.add g t.mc_groups;
+  Medium.join_multicast t.net t.port g
+
+let leave_multicast t g =
+  t.mc_groups <- Int_set.remove g t.mc_groups;
+  Medium.leave_multicast t.net t.port g
 
 let send t frame =
   if not (t.alive ()) then `Dropped

@@ -35,6 +35,8 @@ val set_handler : t -> (Frame.t -> unit) -> unit
     charged; it may block (and thereby back-pressure the ring). *)
 
 val join_multicast : t -> int -> unit
+(** Accept frames for multicast group [g] from now on, and report the
+    membership to the medium ({!Medium.join_multicast}). *)
 
 val leave_multicast : t -> int -> unit
 

@@ -47,6 +47,7 @@ let profile_of_string s =
 type port = {
   id : int;
   rx : Frame.t -> unit;
+  mutable joined : int list;  (** multicast groups this port's NIC joined *)
 }
 
 type fifo = {
@@ -61,10 +62,9 @@ let fifo cap = { frames = Queue.create (); cap; busy = false; drops = 0 }
 type station = {
   sid : int;
   seg : int;
-  mutable rxs : port list;
-      (** all ports attached under this station id, oldest first — a
-          restarted machine re-attaches under its old id like on the
-          Ether, and the dead NIC's [alive] gate filters for it *)
+  mutable port : port;
+      (** the port last attached under this station id: a restarted
+          machine re-attaches under its old id and replaces it *)
   ingress : fifo;  (** host -> switch *)
   egress : fifo;  (** switch -> host *)
 }
@@ -85,6 +85,9 @@ type t = {
   profile : profile;
   stations : (int, station) Hashtbl.t;
   mutable stations_ordered : station array;  (** attach order *)
+  groups : (int, station array) Hashtbl.t;
+      (** snooping table: multicast group -> subscribed stations, in
+          attach order; groups nobody joined are absent *)
   mutable next_port : int;
   uplinks : uplink array;  (** one per segment; [||] when flat *)
   mutable drop_fun : (Frame.t -> bool) option;
@@ -102,6 +105,7 @@ type t = {
   mutable n_jittered : int;
   mutable n_frames : int;
   mutable n_bytes : int;
+  mutable n_uplink_frames : int;
   mutable busy_ns : Time.t;  (** summed egress (downlink) serialization *)
   mutable win_start : Time.t;
   mutable win_busy : Time.t;
@@ -114,6 +118,7 @@ let create engine cost profile =
     profile;
     stations = Hashtbl.create 64;
     stations_ordered = [||];
+    groups = Hashtbl.create 64;
     next_port = 0;
     uplinks =
       (if profile.segments <= 1 then [||]
@@ -138,6 +143,7 @@ let create engine cost profile =
     n_jittered = 0;
     n_frames = 0;
     n_bytes = 0;
+    n_uplink_frames = 0;
     busy_ns = Time.zero;
     win_start = Time.zero;
     win_busy = Time.zero;
@@ -149,29 +155,62 @@ let seg_of t id =
   if t.profile.segments <= 1 then 0
   else min (id / t.profile.segment_size) (t.profile.segments - 1)
 
-let station_for t id =
-  match Hashtbl.find_opt t.stations id with
-  | Some st -> st
+(* ----- IGMP-style snooping -----
+
+   A station subscribes to a group when the NIC behind its port
+   reports a join; the table is rebuilt per group on every report
+   (joins and leaves are rare, frames are not). *)
+
+let resubscribe t g =
+  let subs =
+    List.filter
+      (fun st -> List.mem g st.port.joined)
+      (Array.to_list t.stations_ordered)
+  in
+  if subs = [] then Hashtbl.remove t.groups g
+  else Hashtbl.replace t.groups g (Array.of_list subs)
+
+let join_multicast t port g =
+  if not (List.mem g port.joined) then begin
+    port.joined <- g :: port.joined;
+    resubscribe t g
+  end
+
+let leave_multicast t port g =
+  if List.mem g port.joined then begin
+    port.joined <- List.filter (fun g' -> g' <> g) port.joined;
+    resubscribe t g
+  end
+
+let subscribers t g =
+  match Hashtbl.find_opt t.groups g with Some subs -> subs | None -> [||]
+
+(* A re-attach under a known station id is a rebooted machine's link
+   coming back up: the new port replaces the dead NIC's, and like a
+   real snooping switch on link-down the fabric forgets what the old
+   port had joined (the dead NIC's [alive] gate dropped those frames
+   anyway). *)
+let attach ?id t ~rx =
+  let id = match id with Some i -> i | None -> t.next_port in
+  t.next_port <- max (id + 1) (t.next_port + 1);
+  let port = { id; rx; joined = [] } in
+  (match Hashtbl.find_opt t.stations id with
+  | Some st ->
+      let stale = st.port.joined in
+      st.port <- port;
+      List.iter (resubscribe t) stale
   | None ->
       let st =
         {
           sid = id;
           seg = seg_of t id;
-          rxs = [];
+          port;
           ingress = fifo t.cost.Cost_model.switch_ingress_frames;
           egress = fifo t.cost.Cost_model.switch_egress_frames;
         }
       in
       Hashtbl.replace t.stations id st;
-      t.stations_ordered <- Array.append t.stations_ordered [| st |];
-      st
-
-let attach ?id t ~rx =
-  let id = match id with Some i -> i | None -> t.next_port in
-  t.next_port <- max (id + 1) (t.next_port + 1);
-  let port = { id; rx } in
-  let st = station_for t id in
-  st.rxs <- st.rxs @ [ port ];
+      t.stations_ordered <- Array.append t.stations_ordered [| st |]);
   port
 
 let port_id p = p.id
@@ -239,10 +278,10 @@ let gilbert_loss t ls (g : Ether.gilbert) =
 
 (* ----- delivery (the switch side of the host downlink) ----- *)
 
-(* One copy to every port attached under the station, applying
-   corruption and delivery jitter.  Jittered copies run in the root
-   group, like everything else the fabric schedules: frames inside the
-   switch outlive their sender. *)
+(* One copy to the station's port, applying corruption and delivery
+   jitter.  Jittered copies run in the root group, like everything
+   else the fabric schedules: frames inside the switch outlive their
+   sender. *)
 let deliver_copy t st (c : Ether.conditions) frame =
   let rng = Engine.rng t.engine in
   let frame =
@@ -256,18 +295,17 @@ let deliver_copy t st (c : Ether.conditions) frame =
     end
     else frame
   in
-  let push () = List.iter (fun p -> p.rx frame) st.rxs in
   if c.Ether.jitter_ns > 0 then begin
     let delay = Random.State.int rng (c.Ether.jitter_ns + 1) in
     if delay > 0 then begin
       t.n_jittered <- t.n_jittered + 1;
       ignore
         (Engine.schedule ~group:(Engine.root_group t.engine) t.engine
-           ~after:delay (fun () -> push ()))
+           ~after:delay (fun () -> st.port.rx frame))
     end
-    else push ()
+    else st.port.rx frame
   end
-  else push ()
+  else st.port.rx frame
 
 (* Apply partitions, one-way cuts and per-directed-link conditions at
    the moment the egress port hands the frame to the station — the
@@ -332,10 +370,24 @@ let to_egress t st frame =
     end
   end
 
-let local_flood t seg frame =
-  Array.iter
-    (fun st -> if st.seg = seg then to_egress t st frame)
-    t.stations_ordered
+(* Egress on segment [seg] for every station that should see the
+   frame: all of them for a broadcast (FLIP's WHOIS/IAM), only the
+   subscribed ones for a multicast. *)
+let local_forward t seg frame =
+  let targets =
+    match frame.Frame.dest with
+    | Frame.Multicast g -> subscribers t g
+    | Frame.Broadcast | Frame.Unicast _ -> t.stations_ordered
+  in
+  Array.iter (fun st -> if st.seg = seg then to_egress t st frame) targets
+
+(* The uplink test a snooping switch applies before forwarding a
+   broadcast or multicast: does it reach anyone on a segment
+   satisfying [on]? *)
+let wanted t frame ~on =
+  match frame.Frame.dest with
+  | Frame.Multicast g -> Array.exists (fun st -> on st.seg) (subscribers t g)
+  | Frame.Broadcast | Frame.Unicast _ -> true
 
 (* Uplinks serialize at [uplink_mult] times the host link rate; with
    [segment_size] hosts per segment the fabric is oversubscribed
@@ -350,6 +402,7 @@ let rec up_service t seg () =
   | None -> u.up.busy <- false
   | Some frame ->
       Engine.sleep t.engine (uplink_time t frame);
+      t.n_uplink_frames <- t.n_uplink_frames + 1;
       core_route t seg frame;
       up_service t seg ()
 
@@ -359,12 +412,13 @@ and down_service t seg () =
   | None -> u.down.busy <- false
   | Some frame ->
       Engine.sleep t.engine (uplink_time t frame);
+      t.n_uplink_frames <- t.n_uplink_frames + 1;
       (match frame.Frame.dest with
       | Frame.Unicast d -> (
           match Hashtbl.find_opt t.stations d with
           | Some dst when dst.seg = seg -> to_egress t dst frame
           | _ -> ())
-      | Frame.Broadcast | Frame.Multicast _ -> local_flood t seg frame);
+      | Frame.Broadcast | Frame.Multicast _ -> local_forward t seg frame);
       down_service t seg ()
 
 and to_uplink t seg dir frame =
@@ -384,18 +438,22 @@ and to_uplink t seg dir frame =
 
 and core_route t sseg frame =
   (* The core crossbar itself is not a bottleneck; only the uplinks
-     are.  One copy of a flooded frame per remote segment. *)
+     are.  One copy of a broadcast per remote segment, of a multicast
+     per remote segment with a subscriber. *)
   match frame.Frame.dest with
   | Frame.Unicast d -> to_uplink t (seg_of t d) `Down frame
   | Frame.Broadcast | Frame.Multicast _ ->
       for s = 0 to Array.length t.uplinks - 1 do
-        if s <> sseg then to_uplink t s `Down frame
+        if s <> sseg && wanted t frame ~on:(fun s' -> s' = s) then
+          to_uplink t s `Down frame
       done
 
 (* Forwarding after store-and-forward reception: look the destination
    up, then egress locally, or hand cross-segment traffic to the
-   uplink.  Broadcast and multicast flood — the switch does no group
-   snooping; NICs filter multicast, as on the shared wire. *)
+   uplink.  Broadcasts flood.  Multicasts are snooped: they egress
+   only at subscribed ports and cross the uplink only if a subscriber
+   lives on another segment (membership is checked again at every
+   hop, as it may change while the frame queues). *)
 let route t st frame =
   match frame.Frame.dest with
   | Frame.Unicast d ->
@@ -405,8 +463,9 @@ let route t st frame =
         | None -> () (* no such station: nothing behind that port *))
       else to_uplink t st.seg `Up frame
   | Frame.Broadcast | Frame.Multicast _ ->
-      local_flood t st.seg frame;
-      if Array.length t.uplinks > 0 then to_uplink t st.seg `Up frame
+      local_forward t st.seg frame;
+      if Array.length t.uplinks > 0 && wanted t frame ~on:(fun s -> s <> st.seg)
+      then to_uplink t st.seg `Up frame
 
 let rec ingress_service t st () =
   match Queue.take_opt st.ingress.frames with
@@ -425,7 +484,7 @@ let ingress_accept t sid frame =
   else begin
     t.n_frames <- t.n_frames + 1;
     t.n_bytes <- t.n_bytes + frame.Frame.size_on_wire;
-    let st = station_for t sid in
+    let st = Hashtbl.find t.stations sid in
     if Queue.length st.ingress.frames >= st.ingress.cap then
       st.ingress.drops <- st.ingress.drops + 1
     else begin
@@ -467,6 +526,7 @@ let corruptions_injected t = t.n_corrupted
 let frames_jittered t = t.n_jittered
 let frames_delivered t = t.n_frames
 let bytes_delivered t = t.n_bytes
+let uplink_frames t = t.n_uplink_frames
 
 let fold_stations t f acc =
   Array.fold_left (fun acc st -> f acc st) acc t.stations_ordered

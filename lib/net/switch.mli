@@ -10,6 +10,8 @@
     Frame serialization uses {!Cost_model.frame_time} on the host
     links and [1/uplink_mult] of it on the uplinks; each forwarded
     frame additionally pays [switch_fwd_ns] lookup latency.
+    Broadcasts flood; multicasts go only where a port joined the group
+    (see {!join_multicast}).
 
     All queue drains and deliveries run in the engine's root group:
     frames inside the fabric outlive a crashed sender, mirroring the
@@ -52,6 +54,19 @@ val attach : ?id:int -> t -> rx:(Frame.t -> unit) -> port
     machine reclaims its port. *)
 
 val port_id : port -> int
+
+(** {1 Multicast snooping}
+
+    The switch forwards a [Frame.Multicast g] only to stations whose
+    port joined [g], and across an uplink only toward segments with
+    such a station — IGMP snooping, with the NIC's join/leave standing
+    in for the membership reports.  [Frame.Broadcast] still floods
+    every port.  Re-attaching under a station id (a restarted machine)
+    forgets what the old port had joined. *)
+
+val join_multicast : t -> port -> int -> unit
+
+val leave_multicast : t -> port -> int -> unit
 
 val transmit : t -> port -> Frame.t -> [ `Sent | `Dropped ]
 (** Blocking send: sleeps the frame's serialization time on the
@@ -121,6 +136,10 @@ val frames_delivered : t -> int
     survived loss injection). *)
 
 val bytes_delivered : t -> int
+
+val uplink_frames : t -> int
+(** Frames serialized on segment uplinks, both directions; always 0
+    on {!flat}. *)
 
 val ingress_drops : t -> int
 (** Tail drops on full per-port ingress FIFOs. *)

@@ -65,11 +65,12 @@ let fabrics =
     Medium.Switched { Switch.segments = 2; segment_size = 3; uplink_mult = 2 };
   ]
 
-let fabric_to_string = function
-  | Medium.Shared -> "ether"
-  | Medium.Switched p -> Switch.profile_to_string p
+let method_to_string = function T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto"
 
-let swarm_case =
+(* [net], [pipeline] and [ops_per_send] are fixed per swarm; the
+   printer renders them with the drawn case, so every printed replay
+   line reproduces its failure as it stands. *)
+let swarm_case ~net ~pipeline ~ops_per_send () =
   let gen =
     QCheck.Gen.(
       int_range 3 5 >>= fun n ->
@@ -79,16 +80,17 @@ let swarm_case =
       int_range 0 99_999 >>= fun seed ->
       return (n, r, m, fabric, seed, Fault.random ~seed ~n ()))
   in
+  let batching =
+    if pipeline = 1 && ops_per_send = 1 then ""
+    else Printf.sprintf " --pipeline %d --ops-per-send %d" pipeline ops_per_send
+  in
   let print (n, r, m, fabric, seed, sched) =
+    let net = Medium.net_to_string (fabric, net) in
     Printf.sprintf
       "n=%d r=%d method=%s net=%s seed=%d (replay: amoeba chaos --seed %d -m \
-       %d -r %d --method %s --net %s --schedule %S)"
-      n r
-      (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
-      (fabric_to_string fabric) seed seed n r
-      (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
-      (fabric_to_string fabric)
-      (Fault.to_string sched)
+       %d -r %d --method %s --net %s%s --schedule %S)"
+      n r (method_to_string m) net seed seed n r (method_to_string m) net
+      batching (Fault.to_string sched)
   in
   (* Shrink only the schedule: QCheck peels steps off until the
      smallest fault sequence that still breaks an invariant remains,
@@ -100,12 +102,17 @@ let swarm_case =
   in
   QCheck.make ~print ~shrink gen
 
-let prop_swarm_invariants =
-  QCheck.Test.make ~name:"swarm: invariants hold under random fault schedules"
-    ~count:120 swarm_case (fun (n, r, m, fabric, seed, sched) ->
+(* 120 drawn cases, each run with the swarm's own net and batching. *)
+let swarm ~name ?(net = Medium.clean) ?(pipeline = 1) ?(ops_per_send = 1) () =
+  QCheck.Test.make ~name ~count:120
+    (swarm_case ~net ~pipeline ~ops_per_send ())
+    (fun (n, r, m, fabric, seed, sched) ->
       Chaos.ok
-        (Chaos.run ~n ~resilience:r ~send_method:m ~schedule:sched ~fabric
-           ~seed ()))
+        (Chaos.run ~n ~resilience:r ~send_method:m ~schedule:sched ~net
+           ~fabric ~pipeline ~ops_per_send ~seed ()))
+
+let prop_swarm_invariants =
+  swarm ~name:"swarm: invariants hold under random fault schedules" ()
 
 let prop_schedule_roundtrip =
   QCheck.Test.make ~name:"fault schedule survives to_string/of_string"
@@ -181,30 +188,14 @@ let test_loss_burst_repaired () =
   Alcotest.(check bool) "nacks repaired the gaps" true (o.Chaos.nacks > 0)
 
 (* Persistent moderately-hostile conditions on every link for the
-   whole active phase, under the same random schedules as the main
-   swarm. *)
-let adversarial_net =
-  {
-    Amoeba_net.Medium.gilbert =
-      Some
-        {
-          Amoeba_net.Medium.p_gb = 0.01;
-          p_bg = 0.3;
-          loss_good = 0.002;
-          loss_bad = 0.4;
-        };
-    dup_prob = 0.05;
-    jitter_ns = Time.ms 2;
-    corrupt_prob = 0.01;
-  }
+   whole active phase (the CLI's [adversarial] profile: bursty loss,
+   duplication, 2 ms jitter, corruption), under the same random
+   schedules as the main swarm. *)
+let adversarial_net = List.assoc "adversarial" Medium.condition_profiles
 
 let prop_adversarial_swarm =
-  QCheck.Test.make
-    ~name:"swarm: invariants hold on a hostile net under random schedules"
-    ~count:120 swarm_case (fun (n, r, m, fabric, seed, sched) ->
-      Chaos.ok
-        (Chaos.run ~n ~resilience:r ~send_method:m ~schedule:sched
-           ~net:adversarial_net ~fabric ~seed ()))
+  swarm ~name:"swarm: invariants hold on a hostile net under random schedules"
+    ~net:adversarial_net ()
 
 (* The same hostile net and random schedules with batching and
    pipelining on: every send is declared as a 3-op batch to the
@@ -212,12 +203,8 @@ let prop_adversarial_swarm =
    in flight — total order, agreement, no-dup/no-skip and durability
    must not care. *)
 let prop_batched_adversarial_swarm =
-  QCheck.Test.make
-    ~name:"swarm: batching + pipelining hold invariants on a hostile net"
-    ~count:120 swarm_case (fun (n, r, m, fabric, seed, sched) ->
-      Chaos.ok
-        (Chaos.run ~n ~resilience:r ~send_method:m ~schedule:sched
-           ~net:adversarial_net ~fabric ~pipeline:4 ~ops_per_send:3 ~seed ()))
+  swarm ~name:"swarm: batching + pipelining hold invariants on a hostile net"
+    ~net:adversarial_net ~pipeline:4 ~ops_per_send:3 ()
 
 (* The power-loss swarm: random schedules that additionally yank the
    power on the whole cluster once mid-run, with every member logging
@@ -241,18 +228,14 @@ let power_swarm_case =
          Fault.random ~seed ~n ~power_cycles:true ()))
   in
   let print (n, r, m, fabric, seed, hostile, sched) =
+    let net =
+      Medium.net_to_string
+        (fabric, if hostile then adversarial_net else Medium.clean)
+    in
     Printf.sprintf
-      "n=%d r=%d method=%s seed=%d net=%s+%s (replay: amoeba chaos --seed %d \
-       -m %d -r %d --method %s --disk ssd --net %s%s --schedule %S)"
-      n r
-      (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
-      seed
-      (fabric_to_string fabric)
-      (if hostile then "adversarial" else "clean")
-      seed n r
-      (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
-      (fabric_to_string fabric)
-      (if hostile then "+adversarial" else "")
+      "n=%d r=%d method=%s seed=%d net=%s (replay: amoeba chaos --seed %d -m \
+       %d -r %d --method %s --disk ssd --net %s --schedule %S)"
+      n r (method_to_string m) seed net seed n r (method_to_string m) net
       (Fault.to_string sched)
   in
   let shrink (n, r, m, fabric, seed, hostile, sched) =
@@ -294,11 +277,41 @@ let test_ghost_sequencer_after_missed_reset () =
           ~seed:90615 ()
       in
       Alcotest.(check bool)
-        (Printf.sprintf "invariants hold on %s" (fabric_to_string fabric))
+        (Printf.sprintf "invariants hold on %s" (Medium.spec_to_string fabric))
         true (Chaos.ok o);
       Alcotest.(check bool) "the group reset around the pause" true
         (o.Chaos.resets > 0))
     fabrics
+
+(* Regression (found by the hostile-net sweep): a member that becomes
+   sequencer after a reset used to start its request dedup empty.  A
+   send the old configuration had already delivered, resubmitted by
+   its sender under the new one, then got a second sequence number
+   that every member dropped as a duplicate — a hole in every stream.
+   These are the sweep's shared-wire replays, whose schedules the
+   switch fabric cannot perturb. *)
+let test_resubmitted_delivered_send_not_resequenced () =
+  List.iter
+    (fun (seed, n, resilience) ->
+      let o =
+        Chaos.run ~n ~resilience ~send_method:T.Pb ~net:adversarial_net ~seed ()
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "invariants hold (seed %d, n=%d, r=%d)" seed n
+           resilience)
+        true (Chaos.ok o))
+    [ (33, 5, 2); (613, 4, 0); (2112, 3, 0) ]
+
+(* Regression (found by the hostile-net sweep): the flush used to go
+   out at its fixed time even while the member's sender was still
+   stuck in an earlier send, so the flush could be delivered first and
+   the checker saw the origin send #5 before #4. *)
+let test_flush_waits_for_stuck_sender () =
+  let o =
+    Chaos.run ~n:3 ~resilience:1 ~send_method:T.Pb ~net:adversarial_net
+      ~seed:2871 ()
+  in
+  Alcotest.(check bool) "invariants hold" true (Chaos.ok o)
 
 let test_multigroup_invariants_per_group () =
   (* Three concurrent groups share the wire (sequencers on machines 0,
@@ -587,6 +600,9 @@ let suite =
         test_multigroup_invariants_per_group;
       tc "ghost sequencer after a missed reset"
         test_ghost_sequencer_after_missed_reset;
+      tc "resubmitted delivered send not re-sequenced"
+        test_resubmitted_delivered_send_not_resequenced;
+      tc "flush waits for a stuck sender" test_flush_waits_for_stuck_sender;
       QCheck_alcotest.to_alcotest ~rand prop_swarm_invariants;
       QCheck_alcotest.to_alcotest ~rand prop_adversarial_swarm;
       QCheck_alcotest.to_alcotest ~rand prop_batched_adversarial_swarm;

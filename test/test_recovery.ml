@@ -503,6 +503,49 @@ let prop_survivors_agree_after_random_crash =
       Engine.run ~until:(Time.sec 2_000) cl.Cluster.engine;
       !ok)
 
+let test_replaying_ex_sequencer_serves_nacks () =
+  (* Regression: the sequencer acks a reset but never hears the new
+     configuration, so it stays frozen with its old sequencer state.
+     When it later wins a recovery of its own it catches up by fetch
+     replay and installs the next configuration as sequencer.  A
+     member behind the fetch frontier then NACKs a replayed seq, which
+     a kernel that kept replayed entries out of its history could
+     never serve: the member NACKed it forever. *)
+  with_cluster 3 (fun cl ->
+      let eng = cl.Cluster.engine in
+      let groups = build cl 3 in
+      let g0 = List.nth groups 0
+      and g1 = List.nth groups 1
+      and g2 = List.nth groups 2 in
+      ignore (check_ok "warm" (Api.send_to_group g2 (body "w")));
+      Engine.sleep eng (Time.ms 100);
+      let new_config_to_0 frame =
+        frame.Frame.dest = Frame.Unicast 0
+        &&
+        match Flip.packet_of_frame frame with
+        | Some { Packet.body = Wire.Group (Wire.New_config _); _ } -> true
+        | _ -> false
+      in
+      Medium.set_drop_fun cl.Cluster.net (Some new_config_to_0);
+      ignore (check_ok "reset by member 1" (Api.reset_group g1 ~min_members:3));
+      ignore (check_ok "a" (Api.send_to_group g1 (body "a")));
+      Engine.sleep eng (Time.ms 50);
+      (* Member 2 misses the new sequencer's tail. *)
+      Medium.partition_pair cl.Cluster.net 1 2;
+      ignore (check_ok "b" (Api.send_to_group g1 (body "b")));
+      (* The frozen ex-sequencer's grace period runs out: it recovers
+         the group itself, fetching "a" and "b" from member 1. *)
+      Engine.sleep eng (Time.sec 3);
+      Alcotest.(check bool) "member 0 sequences the new configuration" true
+        (Kernel.is_sequencer (Api.kernel g0));
+      Medium.set_drop_fun cl.Cluster.net None;
+      Medium.heal cl.Cluster.net;
+      ignore (check_ok "after" (Api.send_to_group g0 (body "after")));
+      Engine.sleep eng (Time.sec 1);
+      Alcotest.(check (list string))
+        "the lagging member repaired from the replayed history"
+        [ "w"; "a"; "b"; "after" ] (message_bodies g2))
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "recovery",
@@ -524,5 +567,7 @@ let suite =
         test_frozen_member_ignores_old_incarnation_traffic;
       tc "frozen sequencer defers queued sends"
         test_frozen_sequencer_defers_queued_sends;
+      tc "replaying ex-sequencer serves nacks"
+        test_replaying_ex_sequencer_serves_nacks;
       QCheck_alcotest.to_alcotest prop_survivors_agree_after_random_crash;
     ] )

@@ -212,6 +212,147 @@ let test_utilisation_window_reset () =
   Engine.run eng;
   Alcotest.(check (float 1e-9)) "idle window" 0. (Switch.utilisation sw)
 
+(* ----- multicast snooping ----- *)
+
+let test_multicast_reaches_only_subscribers () =
+  let eng, sw = make_switch () in
+  let got = ref [] in
+  let ports =
+    List.init 4 (fun i -> Switch.attach sw ~rx:(fun _ -> got := i :: !got))
+  in
+  List.iter (fun i -> Switch.join_multicast sw (List.nth ports i) 7) [ 1; 3 ];
+  let p0 = List.nth ports 0 in
+  Engine.spawn eng (fun () ->
+      ignore (Switch.transmit sw p0 (frame ~src:0 ~dest:(Frame.Multicast 7) 1)));
+  Engine.run eng;
+  Alcotest.(check (list int)) "only the subscribers" [ 1; 3 ]
+    (List.sort compare !got);
+  (* Downlink busy time is the sum of egress serializations: exactly
+     two copies, none on the non-members' ports. *)
+  let busy =
+    Switch.utilisation sw *. float_of_int (Engine.now eng) *. 4.
+  in
+  let one = float_of_int (Cost_model.frame_time cost ~bytes_on_wire:64) in
+  Alcotest.(check (float 1e-3)) "two egress serializations" (2. *. one) busy
+
+let test_multicast_leave_stops_delivery () =
+  let eng, sw = make_switch () in
+  let at1 = ref 0 and at2 = ref 0 in
+  let p0 = Switch.attach sw ~rx:ignore in
+  let p1 = Switch.attach sw ~rx:(fun _ -> incr at1) in
+  let p2 = Switch.attach sw ~rx:(fun _ -> incr at2) in
+  Switch.join_multicast sw p1 4;
+  Switch.join_multicast sw p2 4;
+  Switch.leave_multicast sw p1 4;
+  Engine.spawn eng (fun () ->
+      ignore (Switch.transmit sw p0 (frame ~src:0 ~dest:(Frame.Multicast 4) 1)));
+  Engine.run eng;
+  Alcotest.(check int) "left port gets nothing" 0 !at1;
+  Alcotest.(check int) "remaining member still served" 1 !at2;
+  Switch.leave_multicast sw p2 4;
+  Engine.spawn eng (fun () ->
+      ignore (Switch.transmit sw p0 (frame ~src:0 ~dest:(Frame.Multicast 4) 2)));
+  Engine.run eng;
+  Alcotest.(check int) "a group nobody joined goes nowhere" 1 !at2
+
+let test_broadcast_still_floods_segments () =
+  let profile = { Switch.segments = 2; segment_size = 2; uplink_mult = 1 } in
+  let eng, sw = make_switch ~profile () in
+  let got = ref [] in
+  let ports =
+    List.init 4 (fun i -> Switch.attach sw ~rx:(fun _ -> got := i :: !got))
+  in
+  (* A multicast subscription elsewhere must not narrow a broadcast. *)
+  Switch.join_multicast sw (List.nth ports 1) 3;
+  Engine.spawn eng (fun () ->
+      ignore
+        (Switch.transmit sw (List.nth ports 0)
+           (frame ~src:0 ~dest:Frame.Broadcast 1)));
+  Engine.run eng;
+  Alcotest.(check (list int)) "every other port" [ 1; 2; 3 ]
+    (List.sort compare !got);
+  Alcotest.(check int) "up and down the one uplink pair" 2
+    (Switch.uplink_frames sw)
+
+let test_multicast_uplink_pruning () =
+  (* Three one-host segments.  A group local to the sender's segment
+     never touches an uplink; a group with a member on segment 2 goes
+     up once and down only toward segment 2, never segment 1. *)
+  let profile = { Switch.segments = 3; segment_size = 1; uplink_mult = 1 } in
+  let eng, sw = make_switch ~profile () in
+  let got = ref [] in
+  let ports =
+    List.init 3 (fun i -> Switch.attach sw ~rx:(fun _ -> got := i :: !got))
+  in
+  let p0 = List.nth ports 0 in
+  Switch.join_multicast sw p0 1;
+  Engine.spawn eng (fun () ->
+      ignore (Switch.transmit sw p0 (frame ~src:0 ~dest:(Frame.Multicast 1) 1)));
+  Engine.run eng;
+  Alcotest.(check int) "local group: no uplink" 0 (Switch.uplink_frames sw);
+  Switch.join_multicast sw (List.nth ports 2) 2;
+  Engine.spawn eng (fun () ->
+      ignore (Switch.transmit sw p0 (frame ~src:0 ~dest:(Frame.Multicast 2) 2)));
+  Engine.run eng;
+  Alcotest.(check (list int)) "only segment 2's member" [ 2 ] !got;
+  Alcotest.(check int) "one up, one down" 2 (Switch.uplink_frames sw)
+
+let test_restarted_machine_rejoins_group () =
+  (* The NIC reports its joins through the medium.  A reboot brings a
+     fresh NIC whose port has joined nothing — the switch forgets the
+     dead port's groups — until the machine joins again. *)
+  let eng = Engine.create () in
+  let tr = Trace.create () in
+  let net = Medium.create eng cost (Medium.Switched Switch.flat) in
+  let m0 = Machine.create eng cost tr net ~name:"m0" ~id:0 in
+  let m1 = Machine.create eng cost tr net ~name:"m1" ~id:1 in
+  let got = ref 0 in
+  let join () =
+    Nic.set_handler (Machine.nic m1) (fun _ -> incr got);
+    Nic.join_multicast (Machine.nic m1) 9
+  in
+  let send k =
+    Engine.spawn eng (fun () ->
+        ignore
+          (Nic.send (Machine.nic m0) (frame ~src:0 ~dest:(Frame.Multicast 9) k)));
+    Engine.run ~until:(Engine.now eng + Time.ms 10) eng
+  in
+  let sw = Option.get (Medium.switch net) in
+  let egress_busy () =
+    Switch.utilisation sw *. float_of_int (Engine.now eng) *. 2.
+  in
+  join ();
+  send 1;
+  Alcotest.(check int) "member receives" 1 !got;
+  Machine.crash m1;
+  Machine.restart m1;
+  let before = egress_busy () in
+  send 2;
+  Alcotest.(check int) "rebooted, not rejoined: nothing" 1 !got;
+  Alcotest.(check (float 1e-3)) "and its port was never served" before
+    (egress_busy ());
+  join ();
+  send 3;
+  Alcotest.(check int) "rejoined: group traffic again" 2 !got
+
+let test_ether_ignores_subscriptions () =
+  (* On the shared wire every station hears every frame; membership
+     reports are a no-op and the NIC alone filters. *)
+  let eng = Engine.create () in
+  let net = Medium.create eng cost Medium.Shared in
+  let heard = Array.make 3 0 in
+  let ports =
+    Array.init 3 (fun i ->
+        Medium.attach net ~rx:(fun _ -> heard.(i) <- heard.(i) + 1))
+  in
+  Medium.join_multicast net ports.(1) 5;
+  Engine.spawn eng (fun () ->
+      ignore
+        (Medium.transmit net ports.(0) (frame ~src:0 ~dest:(Frame.Multicast 5) 1)));
+  Engine.run eng;
+  Alcotest.(check (list int)) "every other station sees the frame" [ 0; 1; 1 ]
+    (Array.to_list heard)
+
 (* ----- the group stack on the switch ----- *)
 
 open Amoeba_core
@@ -293,5 +434,12 @@ let suite =
       tc "partition and loss on switch" test_partition_and_loss_on_switch;
       tc "one-way cut is directed" test_oneway_cut_is_directed;
       tc "utilisation window reset" test_utilisation_window_reset;
+      tc "multicast reaches only subscribers"
+        test_multicast_reaches_only_subscribers;
+      tc "multicast leave stops delivery" test_multicast_leave_stops_delivery;
+      tc "broadcast still floods segments" test_broadcast_still_floods_segments;
+      tc "multicast uplink pruning" test_multicast_uplink_pruning;
+      tc "restarted machine rejoins group" test_restarted_machine_rejoins_group;
+      tc "ether ignores subscriptions" test_ether_ignores_subscriptions;
       tc "group recovers egress drops via nacks" test_group_recovers_egress_drops;
     ] )
