@@ -12,6 +12,7 @@ check:
 	dune build @fmt
 	dune build
 	dune runtest
+	dune build @perfbench/agree
 	dune build @chaos-smoke
 	dune build @bench-smoke
 	dune build @service-smoke

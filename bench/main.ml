@@ -411,81 +411,58 @@ let headline () =
 (* One measured service workload: a cluster of replica hosts plus
    router machines, one replicated KV group per shard placed by the
    shard map, closed-loop clients driving uniform writes through the
-   routers.  Deterministic in [seed].  At the defaults
-   ([max_batch] 1, [pipeline_depth] 1) the run is bit-identical to the
-   pre-batching service path; [max_batch] > 1 turns on router-side op
-   batching (and drops each router to one worker per shard — a single
-   in-flight batch per shard both keeps the replica endpoint
-   uncontended and lets the backlog coalesce), [pipeline_depth] sets
-   the kernels' in-flight sequencer rounds.  [disk] gives every
-   machine a local disk and turns on durable replicas ([fsync] and
-   [checkpoint_every] set the policy); without it nothing touches a
-   disk and the run is bit-identical to the non-durable path.  Returns
-   the workload result plus the per-router stats. *)
+   routers.  Deterministic in [seed].  [max_batch] > 1 turns on
+   router-side op batching, [pipeline_depth] sets the kernels'
+   in-flight sequencer rounds.  [disk] gives every machine a local
+   disk and turns on durable replicas ([fsync] and [checkpoint_every]
+   set the policy); without it nothing touches a disk.  [ramp] is the
+   closed-loop slow start, excluded from the figures.  Returns the
+   driver's trial plus the per-router stats. *)
 let service_run ~shards ~hosts ~routers ~replication ~workers ~duration_ms
     ~wire_mbps ?(max_batch = 1) ?(batch_delay_us = 500) ?(pipeline_depth = 1)
     ?disk ?(fsync = Amoeba_grouplib.Rsm.Group_fsync 8) ?(checkpoint_every = 64)
     ?(fabric = Amoeba_net.Medium.Shared) ?(ramp = Amoeba_sim.Time.zero)
     ?probe ~seed () =
-  let open Amoeba_service in
-  let map =
-    Shard_map.create ~shards ~replication ~hosts:(List.init hosts Fun.id) ()
-  in
-  let cost =
-    let base = Cost_model.(with_mbps wire_mbps default) in
-    match disk with
-    | Some d -> { base with Cost_model.disk = d }
-    | None -> base
+  let module D = Amoeba_loadgen.Driver in
+  let cfg =
+    {
+      D.shards;
+      hosts;
+      routers;
+      replication;
+      wire_mbps;
+      net = (fabric, Amoeba_net.Medium.clean);
+      max_batch;
+      batch_delay_us;
+      pipeline_depth;
+      mix = Amoeba_loadgen.Mix.read_write ~read:0.0 Amoeba_service.Keygen.Uniform;
+      keys = 1_000;
+      value_dist = Amoeba_loadgen.Dist.Fixed 32;
+      txn_size = 1;
+      duration = Amoeba_sim.Time.ms duration_ms - ramp;
+      warmup = ramp;
+      seed;
+    }
   in
   let durable =
     Option.map
       (fun _ ->
         {
-          Service.d_store = Amoeba_grouplib.Stable_store.create ();
+          Amoeba_service.Service.d_store = Amoeba_grouplib.Stable_store.create ();
           d_sync = fsync;
           d_checkpoint_every = checkpoint_every;
         })
       disk
   in
-  let cl = Cluster.create ~cost ~seed ~fabric ~n:(hosts + routers) () in
-  let result = ref None in
-  let rstats = ref [] in
-  Cluster.spawn cl (fun () ->
-      let svc =
-        Service.deploy cl ~map ~resilience:1 ~pipeline:pipeline_depth ?durable ()
-      in
-      let rs =
-        List.init routers (fun i ->
-            Router.create
-              (Cluster.flip cl (hosts + i))
-              ~max_batch
-              ~pipeline:(if max_batch > 1 then 1 else 4)
-              ~batch_delay:(Amoeba_sim.Time.us batch_delay_us)
-              ~map
-              ~endpoints:(Service.endpoints svc) ())
-      in
-      let spec =
-        {
-          Workload.keys = 1_000;
-          value_bytes = 32;
-          read_ratio = 0.0;
-          dist = Workload.Uniform;
-          mode = Workload.Closed workers;
-          duration = Amoeba_sim.Time.ms duration_ms;
-          ramp;
-          seed;
-        }
-      in
+  D.bring_up ?disk ?durable cfg (fun d ->
+      let cl = d.D.cluster in
       (* Counters only, no timing: utilisation read by [probe] covers
          the measured window, not the idle deploy phase before it. *)
       Amoeba_net.Medium.reset_utilisation_window cl.Cluster.net;
-      result := Some (Workload.run cl ~routers:rs ~map spec);
-      rstats := List.map Router.stats rs;
-      Option.iter (fun f -> f cl) probe);
-  Cluster.run
-    ~until:(Amoeba_sim.Time.ms duration_ms + Amoeba_sim.Time.sec 60)
-    cl;
-  (Option.get !result, !rstats)
+      let t = D.drive d (D.Closed workers) in
+      let stats = Array.to_list (Array.map Amoeba_service.Router.stats d.D.routers) in
+      Option.iter (fun f -> f cl) probe;
+      (t, stats))
 
 (* BENCH_service.json carries the shard-scaling rows (the [service]
    target), the batching sweep (the [batch] target) and the durability
@@ -533,16 +510,16 @@ let service () =
               ~duration_ms ~wire_mbps ~seed ()
           in
           if shards = List.hd shard_counts then
-            Hashtbl.replace base wire_mbps r.Amoeba_service.Workload.ops_per_sec;
+            Hashtbl.replace base wire_mbps r.Amoeba_loadgen.Driver.throughput;
           let speedup =
-            r.Amoeba_service.Workload.ops_per_sec
+            r.Amoeba_loadgen.Driver.throughput
             /. Hashtbl.find base wire_mbps
           in
           rows :=
-            (shards, wire_mbps, r.Amoeba_service.Workload.ops_per_sec,
-             r.Amoeba_service.Workload.p95_ms, r.Amoeba_service.Workload.failed)
+            (shards, wire_mbps, r.Amoeba_loadgen.Driver.throughput,
+             r.Amoeba_loadgen.Driver.p95_ms, r.Amoeba_loadgen.Driver.failed)
             :: !rows;
-          Printf.printf " %6.0f %4.2fx" r.Amoeba_service.Workload.ops_per_sec
+          Printf.printf " %6.0f %4.2fx" r.Amoeba_loadgen.Driver.throughput
             speedup)
         wires;
       print_newline ())
@@ -619,10 +596,10 @@ let batch () =
                 if batches = 0 then 1.
                 else float_of_int opsb /. float_of_int batches
               in
-              let open Amoeba_service.Workload in
+              let open Amoeba_loadgen.Driver in
               Printf.printf
                 "%6d %6d %6d | %8.0f %7.2f %7.2f %7.2f %7.2f | %9.1f %8d %8d\n%!"
-                wire_mbps max_batch depth r.ops_per_sec r.mean_ms r.p50_ms
+                wire_mbps max_batch depth r.throughput r.mean_ms r.p50_ms
                 r.p95_ms r.p99_ms avg partial bretries;
               rows :=
                 Bench_json.Obj
@@ -630,7 +607,7 @@ let batch () =
                     ("wire_mbps", Bench_json.Int wire_mbps);
                     ("max_batch", Bench_json.Int max_batch);
                     ("pipeline_depth", Bench_json.Int depth);
-                    ("ops_per_sec", Bench_json.Float r.ops_per_sec);
+                    ("ops_per_sec", Bench_json.Float r.throughput);
                     ("mean_ms", Bench_json.Float r.mean_ms);
                     ("p50_ms", Bench_json.Float r.p50_ms);
                     ("p95_ms", Bench_json.Float r.p95_ms);
@@ -716,14 +693,14 @@ let recovery () =
                     (fst
                        (service_run ~shards ~hosts ~routers ~replication
                           ~workers ~duration_ms ~wire_mbps:100 ~seed ()))
-                      .Amoeba_service.Workload.ops_per_sec;
+                      .Amoeba_loadgen.Driver.throughput;
                 !off_ops
             | Some fsync ->
                 (fst
                    (service_run ~shards ~hosts ~routers ~replication ~workers
                       ~duration_ms ~wire_mbps:100 ~disk:d ~fsync
                       ~checkpoint_every:64 ~seed ()))
-                  .Amoeba_service.Workload.ops_per_sec
+                  .Amoeba_loadgen.Driver.throughput
           in
           overhead_rows :=
             Bench_json.Obj
@@ -883,10 +860,10 @@ let fabric () =
               ~ramp:(Amoeba_sim.Time.ms ramp_ms)
               ~probe ~seed ()
           in
-          let open Amoeba_service.Workload in
+          let open Amoeba_loadgen.Driver in
           Printf.printf
             "%8d %6d | %-16s %10.0f %9.1f %7d %6.1f%% %7d %6d\n%!" shards
-            hosts label r.ops_per_sec r.p99_ms r.failed (100.0 *. !util) !coll
+            hosts label r.throughput r.p99_ms r.failed (100.0 *. !util) !coll
             !qdrops;
           rows :=
             Bench_json.Obj
@@ -895,7 +872,7 @@ let fabric () =
                 ("hosts", Bench_json.Int hosts);
                 ("routers", Bench_json.Int routers);
                 ("net", Bench_json.Str label);
-                ("ops_per_sec", Bench_json.Float r.ops_per_sec);
+                ("ops_per_sec", Bench_json.Float r.throughput);
                 ("p99_ms", Bench_json.Float r.p99_ms);
                 ("failed", Bench_json.Int r.failed);
                 ("utilisation", Bench_json.Float !util);
@@ -943,17 +920,20 @@ let fabric () =
    checkpoint read/write speed — which is why the table sweeps both. *)
 let migration_run ~records ~disk ~seed =
   let open Amoeba_service in
-  let hosts = 6 in
-  let map =
-    Shard_map.create ~shards:1 ~replication:2 ~hosts:(List.init hosts Fun.id)
-      ()
+  let module D = Amoeba_loadgen.Driver in
+  let module H = Amoeba_loadgen.Histogram in
+  let cfg =
+    {
+      D.default with
+      D.shards = 1;
+      hosts = 6;
+      routers = 1;
+      replication = 2;
+      max_batch = 1;
+      pipeline_depth = 1;
+      seed;
+    }
   in
-  let cost =
-    let base = Cost_model.(with_mbps 100 default) in
-    { base with Cost_model.disk }
-  in
-  let cl = Cluster.create ~cost ~seed ~n:(hosts + 1) () in
-  let eng = cl.Cluster.engine in
   let dc =
     {
       Service.d_store = Amoeba_grouplib.Stable_store.create ();
@@ -961,15 +941,11 @@ let migration_run ~records ~disk ~seed =
       d_checkpoint_every = 64;
     }
   in
-  let samples = ref [] in
-  let t_mig = ref (Amoeba_sim.Time.zero, Amoeba_sim.Time.zero) in
-  let probing = ref true in
-  Cluster.spawn cl (fun () ->
-      let svc = Service.deploy cl ~map ~resilience:1 ~durable:dc () in
-      let r =
-        Router.create (Cluster.flip cl hosts) ~map
-          ~endpoints:(Service.endpoints svc) ()
-      in
+  D.bring_up ~disk ~durable:dc cfg (fun d ->
+      let cl = d.D.cluster and svc = d.D.service and r = d.D.routers.(0) in
+      let eng = cl.Cluster.engine in
+      let samples = ref [] in
+      let probing = ref true in
       let value = String.make 32 'v' in
       Amoeba_sim.Engine.sleep eng (Amoeba_sim.Time.ms 50);
       for i = 1 to records do
@@ -1003,7 +979,7 @@ let migration_run ~records ~disk ~seed =
             Amoeba_sim.Engine.sleep eng (Amoeba_sim.Time.ms 20)
           done);
       Amoeba_sim.Engine.sleep eng (Amoeba_sim.Time.sec 2);
-      let t0 = Cluster.now cl in
+      let m0 = Cluster.now cl in
       (* the default 2 s watchdog is sized for chaos runs on ssd; a
          10 k-record reconcile at 1996-hdd seek times needs minutes of
          simulated time, so the bench bounds each step generously *)
@@ -1014,36 +990,25 @@ let migration_run ~records ~disk ~seed =
        with
       | Ok () -> ()
       | Error e -> failwith ("migration bench: migration failed: " ^ e));
-      t_mig := (t0, Cluster.now cl);
+      let m1 = Cluster.now cl in
       Router.update_endpoints r (Service.endpoints svc);
       Amoeba_sim.Engine.sleep eng (Amoeba_sim.Time.sec 1);
-      probing := false);
-  Cluster.run ~until:(Amoeba_sim.Time.sec 600) cl;
-  let m0, m1 = !t_mig in
-  let window_ms = Amoeba_sim.Time.to_ms (m1 - m0) in
-  let lat (t0, t1) = Amoeba_sim.Time.to_ms (t1 - t0) in
-  let before =
-    List.filter_map
-      (fun (t0, t1) -> if t1 <= m0 then Some (lat (t0, t1)) else None)
-      !samples
-  in
-  let during =
-    List.filter_map
-      (fun (t0, t1) ->
-        if t1 > m0 && t0 < m1 then Some (lat (t0, t1)) else None)
-      !samples
-  in
-  let pctl p xs =
-    match xs with
-    | [] -> nan
-    | _ ->
-        let a = Array.of_list xs in
-        Array.sort compare a;
-        a.(min (Array.length a - 1)
-             (int_of_float (p *. float_of_int (Array.length a))))
-  in
-  let base_p50 = pctl 0.5 before in
-  (window_ms, base_p50, pctl 0.5 during -. base_p50, pctl 0.99 during -. base_p50)
+      probing := false;
+      (* Probes that finished before the migration started set the
+         baseline; probes whose lifetime overlaps it are the ones it
+         delayed. *)
+      let before = H.create () and during = H.create () in
+      List.iter
+        (fun (t0, t1) ->
+          let ms = Amoeba_sim.Time.to_ms (t1 - t0) in
+          if t1 <= m0 then H.add before ms
+          else if t0 < m1 then H.add during ms)
+        !samples;
+      let base_p50 = H.percentile before 50.0 in
+      ( Amoeba_sim.Time.to_ms (m1 - m0),
+        base_p50,
+        H.percentile during 50.0 -. base_p50,
+        H.percentile during 99.0 -. base_p50 ))
 
 let migration () =
   header
@@ -1324,7 +1289,7 @@ let micro () =
           ~workers:(if !smoke_mode then 96 else 1_024)
           ~duration_ms:(if !smoke_mode then 400 else 2_000)
           ~wire_mbps:100 ~max_batch:32 ~pipeline_depth:4 ~seed:11 ()))
-      .Amoeba_service.Workload.ops_per_sec
+      .Amoeba_loadgen.Driver.throughput
   in
   let results =
     [

@@ -299,33 +299,36 @@ let pipeline_depth_t =
 let serve_cmd =
   let run shards hosts replication r seed max_batch batch_delay_us
       pipeline_depth =
-    let open Amoeba_sim in
     let open Amoeba_service in
-    let host_list = List.init hosts Fun.id in
-    let map = Shard_map.create ~shards ~replication ~hosts:host_list () in
-    Format.printf "%a@." Shard_map.pp map;
-    let n = hosts + 1 in
-    let cl = Cluster.create ~seed ~n () in
-    Cluster.spawn cl (fun () ->
-        let svc =
-          Service.deploy cl ~map ~resilience:r ~pipeline:pipeline_depth ()
-        in
-        let router =
-          Router.create (Cluster.flip cl hosts) ~map ~max_batch
-            ~pipeline:(if max_batch > 1 then 1 else 4)
-            ~batch_delay:(Time.us batch_delay_us)
-            ~endpoints:(Service.endpoints svc) ()
-        in
+    let module D = Amoeba_loadgen.Driver in
+    let cfg =
+      {
+        D.default with
+        D.shards;
+        hosts;
+        routers = 1;
+        replication;
+        wire_mbps = 10;
+        max_batch;
+        batch_delay_us;
+        pipeline_depth;
+        seed;
+      }
+    in
+    D.bring_up ~resilience:r cfg (fun d ->
+        let svc = d.D.service and router = d.D.routers.(0) in
+        Format.printf "%a@." Shard_map.pp d.D.map;
         for i = 0 to (4 * shards) - 1 do
           ignore
             (Router.put router
                (Printf.sprintf "demo-%d" i)
                (Printf.sprintf "value-%d" i))
         done;
-        Engine.sleep cl.Cluster.engine (Amoeba_sim.Time.ms 300);
+        Amoeba_sim.Engine.sleep d.D.cluster.Cluster.engine
+          (Amoeba_sim.Time.ms 300);
         Printf.printf "service up: %d shard(s) x %d replica(s), %d demo writes\n"
           shards
-          (Shard_map.replication map)
+          (Shard_map.replication d.D.map)
           (Service.writes_ok svc);
         for s = 0 to shards - 1 do
           Printf.printf "  shard %d applied:" s;
@@ -333,8 +336,7 @@ let serve_cmd =
             (fun (host, a) -> Printf.printf " m%d=%d" host a)
             (Service.applied svc s);
           print_newline ()
-        done);
-    Cluster.run ~until:(Amoeba_sim.Time.sec 60) cl
+        done)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -526,18 +528,17 @@ let workload_cmd =
              figures, so the two cannot disagree about warmup exclusion.")
   in
   let run shards hosts routers replication r keys value_bytes read_ratio dist
-      skew workers rate duration_ms ramp_ms seed (fabric, net) wire_mbps
-      crash_seq
-      crash_follower
-      max_batch batch_delay_us pipeline_depth disk checkpoint_every fsync
-      power_cycle stale_reads migrate rebalance json =
+      skew workers rate duration_ms ramp_ms seed net wire_mbps crash_seq
+      crash_follower max_batch batch_delay_us pipeline_depth disk
+      checkpoint_every fsync power_cycle stale_reads migrate rebalance json =
     let open Amoeba_sim in
     let open Amoeba_service in
+    let module D = Amoeba_loadgen.Driver in
     let dist =
       match dist with
-      | "uniform" -> Workload.Uniform
-      | "zipf" -> Workload.Zipf skew
-      | "latest" -> Workload.Latest skew
+      | "uniform" -> Keygen.Uniform
+      | "zipf" -> Keygen.Zipf skew
+      | "latest" -> Keygen.Latest skew
       | s ->
           Printf.eprintf "unknown distribution %S (uniform|zipf|latest)\n" s;
           exit 2
@@ -546,18 +547,29 @@ let workload_cmd =
       Printf.eprintf "--power-cycle needs a disk (pass --disk)\n";
       exit 2
     end;
-    let host_list = List.init hosts Fun.id in
-    let map = Shard_map.create ~shards ~replication ~hosts:host_list () in
-    let n = hosts + routers in
-    let cost =
-      let base = Amoeba_net.Cost_model.(with_mbps wire_mbps default) in
-      match disk with
-      | Some d -> { base with Amoeba_net.Cost_model.disk = d }
-      | None -> base
-    in
-    let cl = Cluster.create ~cost ~seed ~fabric ~n () in
-    let eng = cl.Cluster.engine in
     let duration = Amoeba_sim.Time.ms duration_ms in
+    let ramp = max 0 (min (Amoeba_sim.Time.ms ramp_ms) duration) in
+    let cfg =
+      {
+        D.shards;
+        hosts;
+        routers;
+        replication;
+        wire_mbps;
+        net;
+        max_batch;
+        batch_delay_us;
+        pipeline_depth;
+        mix = Amoeba_loadgen.Mix.read_write ~read:read_ratio dist;
+        keys;
+        value_dist = Amoeba_loadgen.Dist.Fixed value_bytes;
+        txn_size = 1;
+        duration = duration - ramp;
+        warmup = ramp;
+        seed;
+      }
+    in
+    let host_list = List.init hosts Fun.id in
     let failed = ref false in
     let crashing = crash_seq || crash_follower in
     (* Invariants are checked whenever the run disturbs the service —
@@ -577,30 +589,23 @@ let workload_cmd =
           })
         disk
     in
-    Cluster.spawn cl (fun () ->
-        if net <> Amoeba_net.Medium.clean then
-          Amoeba_net.Medium.set_conditions cl.Cluster.net net;
-        let svc =
-          Service.deploy cl ~map ~resilience:r ~pipeline:pipeline_depth
-            ~record:checking ?durable ()
-        in
-        (* In batching mode one worker per shard is the sweet spot: a
-           single accumulation-and-ship pipeline per (router, shard)
-           forms the largest batches and keeps replica endpoints
-           uncontended; concurrency across routers and the kernel's
-           pipelining cover the in-flight depth. *)
-        let rs =
-          List.init routers (fun i ->
-              Router.create
-                (Cluster.flip cl (hosts + i))
-                ~map ~max_batch ~stale_reads
-                ~pipeline:(if max_batch > 1 then 1 else 4)
-                ~batch_delay:(Amoeba_sim.Time.us batch_delay_us)
-                ~endpoints:(Service.endpoints svc) ())
+    D.bring_up ?disk ?durable ~resilience:r ~record:checking ~stale_reads
+      ~impair_bring_up:true cfg (fun d ->
+        let cl = d.D.cluster and svc = d.D.service and map = d.D.map in
+        let eng = cl.Cluster.engine in
+        let rs = Array.to_list d.D.routers in
+        (* Fibers the report waits for, so their verdicts are in. *)
+        let side = ref [] in
+        let spawn_side f =
+          let iv = Ivar.create () in
+          side := iv :: !side;
+          Cluster.spawn cl (fun () ->
+              f ();
+              Ivar.fill iv ())
         in
         (if power_cycle then
            let dc = Option.get durable in
-           Cluster.spawn cl (fun () ->
+           spawn_side (fun () ->
                Engine.sleep eng (duration / 4);
                (* Sentinel writes: the acked ones are the durability
                   obligations the cycle must not revoke. *)
@@ -675,7 +680,7 @@ let workload_cmd =
           String.concat "," (List.map (Printf.sprintf "m%d") hs)
         in
         (if migrate then
-           Cluster.spawn cl (fun () ->
+           spawn_side (fun () ->
                Engine.sleep eng (duration / 3);
                let cur = Shard_map.replica_hosts (Service.map svc) 0 in
                let free =
@@ -743,46 +748,33 @@ let workload_cmd =
           end
           else []
         in
-        let mode =
-          match rate with
-          | Some rate -> Workload.Open rate
-          | None -> Workload.Closed workers
+        let t =
+          D.drive d
+            (match rate with Some rate -> D.Open rate | None -> D.Closed workers)
         in
-        let spec =
-          {
-            Workload.keys;
-            value_bytes;
-            read_ratio;
-            dist;
-            mode;
-            duration;
-            ramp = Amoeba_sim.Time.ms ramp_ms;
-            seed;
-          }
-        in
-        let res = Workload.run cl ~routers:rs ~map spec in
-        Format.printf "%a@." Workload.pp_result res;
+        List.iter (Ivar.read eng) !side;
+        Format.printf "%a@." D.pp_trial t;
         if json then
           print_string
             (Bench_json.to_string
                (Bench_json.Obj
                   [
-                    ("attempted", Bench_json.Int res.Workload.attempted);
-                    ("completed", Bench_json.Int res.Workload.completed);
-                    ("failed", Bench_json.Int res.Workload.failed);
-                    ("ops_per_sec", Bench_json.Float res.Workload.ops_per_sec);
-                    ("mean_ms", Bench_json.Float res.Workload.mean_ms);
-                    ("p50_ms", Bench_json.Float res.Workload.p50_ms);
-                    ("p95_ms", Bench_json.Float res.Workload.p95_ms);
-                    ("p99_ms", Bench_json.Float res.Workload.p99_ms);
-                    ("max_ms", Bench_json.Float res.Workload.max_ms);
-                    ("reads", Bench_json.Int res.Workload.reads);
-                    ("writes", Bench_json.Int res.Workload.writes);
+                    ("attempted", Bench_json.Int t.D.attempted);
+                    ("completed", Bench_json.Int t.D.completed);
+                    ("failed", Bench_json.Int t.D.failed);
+                    ("ops_per_sec", Bench_json.Float t.D.throughput);
+                    ("mean_ms", Bench_json.Float t.D.mean_ms);
+                    ("p50_ms", Bench_json.Float t.D.p50_ms);
+                    ("p95_ms", Bench_json.Float t.D.p95_ms);
+                    ("p99_ms", Bench_json.Float t.D.p99_ms);
+                    ("max_ms", Bench_json.Float t.D.max_ms);
+                    ("reads", Bench_json.Int t.D.reads);
+                    ("writes", Bench_json.Int t.D.updates);
                     ( "per_shard",
                       Bench_json.List
                         (List.map
                            (fun c -> Bench_json.Int c)
-                           (Array.to_list res.Workload.per_shard)) );
+                           (Array.to_list t.D.per_shard)) );
                   ]));
         let agg f = List.fold_left (fun a r -> a + f (Router.stats r)) 0 rs in
         Printf.printf
@@ -856,7 +848,6 @@ let workload_cmd =
           Printf.printf "verdict:   %s\n"
             (if !failed then "FAIL" else "PASS")
         end);
-    Cluster.run ~until:(duration + Amoeba_sim.Time.sec 60) cl;
     if !failed then exit 1
   in
   Cmd.v
@@ -904,14 +895,12 @@ let migration_chaos_cmd =
   let duration_t =
     Arg.(value & opt int 1200 & info [ "duration" ] ~doc:"Simulated ms.")
   in
-  let run seed (fabric, net) crash_source crash_dest power_cycle workers
-      duration_ms =
-    let open Amoeba_service in
+  let run seed net crash_source crash_dest power_cycle workers duration_ms =
+    let module Migration_chaos = Amoeba_loadgen.Migration_chaos in
     let spec =
       {
         Migration_chaos.mc_seed = seed;
-        mc_fabric = fabric;
-        mc_hostile = net <> Amoeba_net.Medium.clean;
+        mc_net = net;
         mc_crash_source = crash_source;
         mc_crash_dest = crash_dest;
         mc_power_cycle = power_cycle;
@@ -1092,26 +1081,26 @@ let loadgen_cmd =
     let max_probes = if smoke then min max_probes 8 else max_probes in
     let tol = if smoke then Float.max tol 0.25 else tol in
     let lo = if smoke then Float.max lo 100.0 else lo in
+    let params =
+      {
+        L.Report.slo;
+        mix;
+        keys;
+        value_dist;
+        txn_size;
+        duration_ms;
+        warmup_ms;
+        replication;
+        wire_mbps;
+        max_batch;
+        pipeline_depth;
+        lo;
+        tol;
+        max_probes;
+        seed;
+      }
+    in
     if sweep then begin
-      let params =
-        {
-          L.Report.slo;
-          mix;
-          keys;
-          value_dist;
-          txn_size;
-          duration_ms;
-          warmup_ms;
-          replication;
-          wire_mbps;
-          max_batch;
-          pipeline_depth;
-          lo;
-          tol;
-          max_probes;
-          seed;
-        }
-      in
       L.Report.print_header ();
       let rows =
         L.Report.sweep ~progress:L.Report.print_row ~smoke params
@@ -1120,29 +1109,13 @@ let loadgen_cmd =
         L.Report.write_json ~path:"BENCH_loadgen.json" params rows
     end
     else begin
-      let cfg =
-        {
-          L.Driver.shards;
-          hosts;
-          routers;
-          replication;
-          wire_mbps;
-          net = (fabric, net);
-          max_batch;
-          batch_delay_us = 500;
-          pipeline_depth;
-          mix;
-          keys;
-          value_dist;
-          txn_size;
-          duration = Amoeba_sim.Time.ms duration_ms;
-          warmup = Amoeba_sim.Time.ms warmup_ms;
-          seed;
-        }
-      in
+      let net = Amoeba_net.Medium.net_to_string (fabric, net) in
       match rate with
       | Some rate ->
-          let t = L.Driver.run cfg ~rate in
+          let t =
+            L.Driver.run (L.Report.config_of params ~shards ~hosts ~routers ~net)
+              ~rate
+          in
           Format.printf "%a@." L.Driver.pp_trial t;
           if json then
             print_string
@@ -1160,15 +1133,10 @@ let loadgen_cmd =
                       ("p99_ms", Bench_json.Float t.L.Driver.p99_ms);
                     ]))
       | None ->
-          let measure rate =
-            let t = L.Driver.run cfg ~rate in
-            {
-              L.Saturation.m_p99_ms = t.L.Driver.p99_ms;
-              m_completion = t.L.Driver.completion;
-              m_throughput = t.L.Driver.throughput;
-            }
+          let o =
+            (L.Report.run_row params ~shards ~hosts ~routers ~net)
+              .L.Report.outcome
           in
-          let o = L.Saturation.search ~lo ~tol ~max_probes ~slo measure in
           Format.printf "%a@." L.Saturation.pp_outcome o;
           if json then
             print_string

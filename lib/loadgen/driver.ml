@@ -42,6 +42,65 @@ let default =
     seed = 11;
   }
 
+type deployment = {
+  cfg : config;
+  cluster : Cluster.t;
+  map : Shard_map.t;
+  service : Service.t;
+  routers : Router.t array;
+}
+
+let bring_up ?disk ?durable ?(resilience = 1) ?(record = false)
+    ?(stale_reads = false) ?(impair_bring_up = false) cfg body =
+  let fabric, conditions = cfg.net in
+  let map =
+    Shard_map.create ~shards:cfg.shards ~replication:cfg.replication
+      ~hosts:(List.init cfg.hosts Fun.id) ()
+  in
+  let cost =
+    let c = Cost_model.(with_mbps cfg.wire_mbps default) in
+    match disk with Some disk -> { c with Cost_model.disk } | None -> c
+  in
+  let cl =
+    Cluster.create ~cost ~seed:cfg.seed ~fabric ~n:(cfg.hosts + cfg.routers) ()
+  in
+  let result = ref None in
+  Cluster.spawn cl (fun () ->
+      if impair_bring_up then Medium.set_conditions cl.Cluster.net conditions;
+      let service =
+        Service.deploy cl ~map ~resilience ~pipeline:cfg.pipeline_depth
+          ?durable ~record ()
+      in
+      let routers =
+        Array.init cfg.routers (fun i ->
+            Router.create
+              (Cluster.flip cl (cfg.hosts + i))
+              ~max_batch:cfg.max_batch
+              ~batch_delay:(Time.us cfg.batch_delay_us)
+              ~stale_reads ~map
+              ~endpoints:(Service.endpoints service) ())
+      in
+      (* Impair the wire only once the service stands: a trial
+         measures steady state under these conditions, not whether
+         bring-up survives them (the chaos runs ask for that). *)
+      if not impair_bring_up then
+        Medium.set_conditions cl.Cluster.net conditions;
+      result := Some (body { cfg; cluster = cl; map; service; routers }));
+  (* Step the clock until the body returns: the failure detectors keep
+     the event queue non-empty forever, and a fixed horizon would cut
+     a slow drain short. *)
+  let rec step horizon =
+    Cluster.run ~until:horizon cl;
+    match !result with
+    | Some r -> r
+    | None when Cluster.now cl < horizon ->
+        failwith "Driver.bring_up: the simulation ran dry before the body returned"
+    | None -> step (horizon + Time.sec 5)
+  in
+  step (Time.sec 5)
+
+type mode = Open of float | Closed of int
+
 type trial = {
   offered : float;
   attempted : int;
@@ -58,7 +117,7 @@ type trial = {
   updates : int;
   inserts : int;
   txns : int;
-  hist : Histogram.t;
+  per_shard : int array;
 }
 
 type acc = {
@@ -70,6 +129,7 @@ type acc = {
   mutable updates : int;
   mutable inserts : int;
   mutable txns : int;
+  per_shard : int array;
   mutable in_flight : int;
   mutable issued : int;
 }
@@ -94,10 +154,12 @@ let colocated_keys map ~keys ~base ~want =
 let make_value cfg rng ~issued =
   let size = Dist.draw cfg.value_dist rng in
   (* Unique stamp then pad: distinct bodies keep the checker's
-     no-duplicates invariant meaningful (same scheme as Workload). *)
+     no-duplicates invariant meaningful. *)
   let stamp = Printf.sprintf "v%d." issued in
   let pad = max 0 (size - String.length stamp) in
   stamp ^ String.make pad 'x'
+
+let succeeded = function Router.Failed _ -> false | _ -> true
 
 let one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from router =
   let kind = Mix.draw cfg.mix rng in
@@ -106,26 +168,18 @@ let one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from router =
   let issued = acc.issued in
   if measured then acc.attempted <- acc.attempted + 1;
   acc.in_flight <- acc.in_flight + 1;
-  let ok =
+  let ok, key =
     match kind with
-    | Mix.Read -> (
-        let ki = Keygen.sample kg rng in
-        match Router.get router (Keygen.key ki) with
-        | Router.Failed _ -> false
-        | Router.Value _ | Router.Not_found | Router.Written -> true)
-    | Mix.Update -> (
-        let ki = Keygen.sample kg rng in
-        let v = make_value cfg rng ~issued in
-        match Router.put router (Keygen.key ki) v with
-        | Router.Failed _ -> false
-        | _ -> true)
-    | Mix.Insert -> (
-        let ki = Keygen.insert kg in
-        let v = make_value cfg rng ~issued in
-        match Router.put router (Keygen.key ki) v with
-        | Router.Failed _ -> false
-        | _ -> true)
-    | Mix.Txn -> (
+    | Mix.Read ->
+        let key = Keygen.key (Keygen.sample kg rng) in
+        (succeeded (Router.get router key), key)
+    | Mix.Update | Mix.Insert ->
+        let ki =
+          if kind = Mix.Update then Keygen.sample kg rng else Keygen.insert kg
+        in
+        let key = Keygen.key ki in
+        (succeeded (Router.put router key (make_value cfg rng ~issued)), key)
+    | Mix.Txn ->
         let base = Keygen.sample kg rng in
         let kis =
           colocated_keys map ~keys:cfg.keys ~base ~want:(max 1 cfg.txn_size)
@@ -138,13 +192,10 @@ let one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from router =
             (fun ki -> Router.Put (Keygen.key ki, make_value cfg rng ~issued))
             kis
         in
-        match Router.txn router (gets @ puts) with
-        | Error _ -> false
-        | Ok replies ->
-            not
-              (List.exists
-                 (function Router.Failed _ -> true | _ -> false)
-                 replies))
+        ( (match Router.txn router (gets @ puts) with
+          | Error _ -> false
+          | Ok replies -> List.for_all succeeded replies),
+          Keygen.key base )
   in
   (* CO-safe accounting: latency runs from the intended arrival, so
      time spent queued behind a backlog is charged, never skipped. *)
@@ -155,6 +206,8 @@ let one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from router =
     else begin
       acc.completed <- acc.completed + 1;
       Histogram.add acc.hist dt_ms;
+      let s = Shard_map.shard_of_key map key in
+      acc.per_shard.(s) <- acc.per_shard.(s) + 1;
       match kind with
       | Mix.Read -> acc.reads <- acc.reads + 1
       | Mix.Update -> acc.updates <- acc.updates + 1
@@ -162,17 +215,8 @@ let one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from router =
       | Mix.Txn -> acc.txns <- acc.txns + 1
     end
 
-let run cfg ~rate =
-  if rate <= 0.0 then invalid_arg "Driver.run: rate <= 0";
-  let fabric, conditions = cfg.net in
-  let map =
-    Shard_map.create ~shards:cfg.shards ~replication:cfg.replication
-      ~hosts:(List.init cfg.hosts Fun.id) ()
-  in
-  let cost = Cost_model.(with_mbps cfg.wire_mbps default) in
-  let cl =
-    Cluster.create ~cost ~seed:cfg.seed ~fabric ~n:(cfg.hosts + cfg.routers) ()
-  in
+let drive d mode =
+  let cfg = d.cfg and cl = d.cluster in
   let eng = cl.Cluster.engine in
   let acc =
     {
@@ -184,63 +228,74 @@ let run cfg ~rate =
       updates = 0;
       inserts = 0;
       txns = 0;
+      per_shard = Array.make cfg.shards 0;
       in_flight = 0;
       issued = 0;
     }
   in
-  Cluster.spawn cl (fun () ->
-      let svc =
-        Service.deploy cl ~map ~resilience:1 ~pipeline:cfg.pipeline_depth ()
-      in
-      let routers =
-        Array.init cfg.routers (fun i ->
-            Router.create
-              (Cluster.flip cl (cfg.hosts + i))
-              ~max_batch:cfg.max_batch
-              ~pipeline:(if cfg.max_batch > 1 then 1 else 4)
-              ~batch_delay:(Time.us cfg.batch_delay_us)
-              ~map
-              ~endpoints:(Service.endpoints svc) ())
-      in
-      (* Impair the wire only once the service stands: the trial
-         measures steady state under these conditions, not whether
-         bring-up survives them (the chaos suites cover that). *)
-      Medium.set_conditions cl.Cluster.net conditions;
-      let kg = Keygen.create ~keys:cfg.keys cfg.mix.Mix.dist in
-      let start = Engine.now eng in
-      let measure_from = start + cfg.warmup in
-      let stop = start + cfg.warmup + cfg.duration in
-      let arrivals = Random.State.make [| cfg.seed; 0x10ad |] in
-      (* Arrival times accumulate in float ns from the trial start so
-         rounding never drifts the offered rate. *)
-      let t_next = ref 0.0 in
-      let k = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let u = Random.State.float arrivals 1.0 in
-        t_next := !t_next +. (-.log (1.0 -. u) /. rate *. 1e9);
-        let arrive = start + int_of_float !t_next in
-        if arrive >= stop then continue := false
-        else begin
-          Engine.sleep eng (max 0 (arrive - Engine.now eng));
-          let kk = !k in
-          incr k;
-          let rng = Random.State.make [| cfg.seed; 0x10ae; kk |] in
+  let kg = Keygen.create ~keys:cfg.keys cfg.mix.Mix.dist in
+  let start = Engine.now eng in
+  let measure_from = start + cfg.warmup in
+  let stop = measure_from + cfg.duration in
+  let op ~rng ~arrive i =
+    one_op eng cfg ~map:d.map ~acc ~kg ~rng ~arrive ~measure_from
+      d.routers.(i mod Array.length d.routers)
+  in
+  let offered =
+    match mode with
+    | Open rate ->
+        if rate <= 0.0 then invalid_arg "Driver.drive: rate <= 0";
+        let arrivals = Random.State.make [| cfg.seed; 0x10ad |] in
+        (* Arrival times accumulate in float ns from the trial start so
+           rounding never drifts the offered rate. *)
+        let t_next = ref 0.0 in
+        let k = ref 0 in
+        let continue = ref true in
+        while !continue do
+          let u = Random.State.float arrivals 1.0 in
+          t_next := !t_next +. (-.log (1.0 -. u) /. rate *. 1e9);
+          let arrive = start + int_of_float !t_next in
+          if arrive >= stop then continue := false
+          else begin
+            Engine.sleep eng (max 0 (arrive - Engine.now eng));
+            let kk = !k in
+            incr k;
+            let rng = Random.State.make [| cfg.seed; 0x10ae; kk |] in
+            Cluster.spawn cl (fun () -> op ~rng ~arrive kk)
+          end
+        done;
+        (* Drain stragglers, bounded by a grace period: whatever is
+           still stuck counts against the completion ratio. *)
+        let deadline = Engine.now eng + Time.sec 3 in
+        while acc.in_flight > 0 && Engine.now eng < deadline do
+          Engine.sleep eng (Time.ms 10)
+        done;
+        rate
+    | Closed n ->
+        if n <= 0 then invalid_arg "Driver.drive: no clients";
+        let running = ref n in
+        let all_done = Ivar.create () in
+        for i = 0 to n - 1 do
+          let rng = Random.State.make [| cfg.seed; 0x6b1d; i |] in
           Cluster.spawn cl (fun () ->
-              one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from
-                routers.(kk mod cfg.routers))
-        end
-      done;
-      (* Drain stragglers, bounded by a grace period: whatever is
-         still stuck counts against the completion ratio. *)
-      let deadline = Engine.now eng + Time.sec 3 in
-      while acc.in_flight > 0 && Engine.now eng < deadline do
-        Engine.sleep eng (Time.ms 10)
-      done);
-  Cluster.run ~until:(cfg.warmup + cfg.duration + Time.sec 60) cl;
+              (* Slow start: stagger the herd over the warmup.  A few
+                 thousand clients all firing at t=0 starve every host's
+                 CPU at once (locate broadcasts, first-contact RPCs),
+                 which the group kernels read as member failures. *)
+              if cfg.warmup > 0 && n > 1 then
+                Engine.sleep eng (i * cfg.warmup / (n - 1));
+              while Engine.now eng < stop do
+                op ~rng ~arrive:(Engine.now eng) i
+              done;
+              decr running;
+              if !running = 0 then Ivar.fill all_done ())
+        done;
+        Ivar.read eng all_done;
+        0.0
+  in
   let dur_s = Time.to_sec cfg.duration in
   {
-    offered = rate;
+    offered;
     attempted = acc.attempted;
     completed = acc.completed;
     failed = acc.failed;
@@ -258,15 +313,20 @@ let run cfg ~rate =
     updates = acc.updates;
     inserts = acc.inserts;
     txns = acc.txns;
-    hist = acc.hist;
+    per_shard = Array.copy acc.per_shard;
   }
+
+let run cfg ~rate = bring_up cfg (fun d -> drive d (Open rate))
 
 let pp_trial ppf (t : trial) =
   Fmt.pf ppf
-    "@[<v>offered %.0f ops/s: %d attempted, %d completed, %d failed \
-     (%.0f ops/s through, completion %.3f)@,\
+    "@[<v>%s%d attempted, %d completed, %d failed (%.0f ops/s, completion \
+     %.3f)@,\
      latency ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f@,\
-     %d reads, %d updates, %d inserts, %d txns@]"
-    t.offered t.attempted t.completed t.failed t.throughput t.completion
-    t.mean_ms t.p50_ms t.p95_ms t.p99_ms t.max_ms t.reads t.updates t.inserts
-    t.txns
+     %d reads, %d updates, %d inserts, %d txns; per shard: %a@]"
+    (if t.offered > 0.0 then Printf.sprintf "offered %.0f ops/s: " t.offered
+     else "")
+    t.attempted t.completed t.failed t.throughput t.completion t.mean_ms
+    t.p50_ms t.p95_ms t.p99_ms t.max_ms t.reads t.updates t.inserts t.txns
+    Fmt.(brackets (list ~sep:comma int))
+    (Array.to_list t.per_shard)

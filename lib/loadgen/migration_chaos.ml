@@ -1,5 +1,6 @@
 open Amoeba_sim
 open Amoeba_harness
+open Amoeba_service
 module Medium = Amoeba_net.Medium
 module Machine = Amoeba_net.Machine
 module Cost_model = Amoeba_net.Cost_model
@@ -17,8 +18,7 @@ module Stable_store = Amoeba_grouplib.Stable_store
 
 type spec = {
   mc_seed : int;
-  mc_fabric : Medium.spec;
-  mc_hostile : bool;  (* persistently adversarial link conditions *)
+  mc_net : Medium.spec * Medium.conditions;
   mc_crash_source : bool;  (* crash the source sequencer mid-migration *)
   mc_crash_dest : bool;  (* crash the destination head mid-migration *)
   mc_power_cycle : bool;  (* power-cycle every server host mid-migration *)
@@ -29,8 +29,7 @@ type spec = {
 let default ~seed =
   {
     mc_seed = seed;
-    mc_fabric = Medium.Shared;
-    mc_hostile = false;
+    mc_net = (Medium.Shared, Medium.clean);
     mc_crash_source = false;
     mc_crash_dest = false;
     mc_power_cycle = false;
@@ -48,53 +47,58 @@ type outcome = {
   o_sentinels_acked : int;
   o_sentinels_lost : int;
   o_verdicts : (string * Checker.verdict) list;
-  o_ok : bool;
 }
 
-let ok o = o.o_ok
+(* No verdicts means nothing was judged: never a pass. *)
+let ok o =
+  o.o_verdicts <> []
+  && List.for_all (fun (_, v) -> v.Checker.ok) o.o_verdicts
+  && o.o_sentinels_lost = 0
 
 let hosts = 7
 let shards = 2
-let routers_n = 2
 let target = [ 4; 5 ]  (* fresh hosts: neither shard places replicas there *)
 
-(* Same moderately-hostile profile as the chaos swarms: bursty
-   Gilbert–Elliott loss, duplication, reordering jitter, corruption. *)
-let adversarial_net =
-  {
-    Medium.gilbert =
-      Some { Medium.p_gb = 0.01; p_bg = 0.3; loss_good = 0.002; loss_bad = 0.4 };
-    dup_prob = 0.05;
-    jitter_ns = Time.ms 2;
-    corrupt_prob = 0.01;
-  }
-
-let fabric_to_string = function
-  | Medium.Shared -> "ether"
-  | Medium.Switched p -> Amoeba_net.Switch.profile_to_string p
-
 let replay_line spec =
-  Printf.sprintf "amoeba migration-chaos --seed %d --net %s+%s%s%s%s"
-    spec.mc_seed
-    (fabric_to_string spec.mc_fabric)
-    (if spec.mc_hostile then "adversarial" else "clean")
-    (if spec.mc_crash_source then " --crash-source" else "")
-    (if spec.mc_crash_dest then " --crash-dest" else "")
-    (if spec.mc_power_cycle then " --power-cycle" else "")
+  let d = default ~seed:spec.mc_seed in
+  String.concat ""
+    [
+      Printf.sprintf "amoeba migration-chaos --seed %d --net %s" spec.mc_seed
+        (Medium.net_to_string spec.mc_net);
+      (if spec.mc_crash_source then " --crash-source" else "");
+      (if spec.mc_crash_dest then " --crash-dest" else "");
+      (if spec.mc_power_cycle then " --power-cycle" else "");
+      (if spec.mc_workers <> d.mc_workers then
+         Printf.sprintf " --workers %d" spec.mc_workers
+       else "");
+      (if spec.mc_duration_ms <> d.mc_duration_ms then
+         Printf.sprintf " --duration %d" spec.mc_duration_ms
+       else "");
+    ]
 
 let run spec =
   let seed = spec.mc_seed in
   let duration = Time.ms spec.mc_duration_ms in
+  let ramp = Time.ms 50 in
   let host_list = List.init hosts Fun.id in
-  let map = Shard_map.create ~shards ~replication:2 ~hosts:host_list () in
-  let cost =
-    let base = Cost_model.(with_mbps 100 default) in
-    { base with Cost_model.disk = Cost_model.ssd }
+  let cfg =
+    {
+      Driver.default with
+      Driver.shards;
+      hosts;
+      routers = 2;
+      replication = 2;
+      net = spec.mc_net;
+      max_batch = 1;
+      pipeline_depth = 1;
+      mix = Mix.read_write ~read:0.25 (Keygen.Zipf 0.99);
+      keys = 200;
+      value_dist = Dist.Fixed 16;
+      duration = duration - ramp;
+      warmup = ramp;
+      seed;
+    }
   in
-  let cl =
-    Cluster.create ~cost ~seed ~fabric:spec.mc_fabric ~n:(hosts + routers_n) ()
-  in
-  let eng = cl.Cluster.engine in
   (* Fault offsets past migration start, drawn up front so a spec's
      timing is identical whichever flags are set. *)
   let rng = Random.State.make [| seed; 0x715A |] in
@@ -111,28 +115,18 @@ let run spec =
       d_checkpoint_every = 32;
     }
   in
-  let mig_result = ref None in
-  let crashed = ref [] in
-  let recovered = ref None in
-  let sent_acked = ref [] in
-  let sent_lost = ref [] in
-  let completed = ref 0 in
-  let failed = ref 0 in
-  let verdicts = ref [] in
-  let all_ok = ref true in
-  Cluster.spawn cl (fun () ->
-      if spec.mc_hostile then
-        Medium.set_conditions cl.Cluster.net adversarial_net;
-      let svc =
-        Service.deploy cl ~map ~resilience:1 ~record:true ~durable:dc ()
-      in
-      let rs =
-        List.init routers_n (fun i ->
-            Router.create
-              (Cluster.flip cl (hosts + i))
-              ~map
-              ~endpoints:(Service.endpoints svc) ())
-      in
+  Driver.bring_up ~disk:Cost_model.ssd ~durable:dc ~record:true
+    ~impair_bring_up:true cfg (fun d ->
+      let cl = d.Driver.cluster and svc = d.Driver.service in
+      let map = d.Driver.map in
+      let eng = cl.Cluster.engine in
+      let rs = Array.to_list d.Driver.routers in
+      let mig_result = ref None in
+      let crashed = ref [] in
+      let recovered = ref None in
+      let sent_acked = ref [] in
+      let sent_lost = ref [] in
+      let verdicts = ref [] in
       (* Both the migration and the recovery fibers repoint the
          routers; whichever runs later must win, so both aim at the
          newest service. *)
@@ -160,9 +154,9 @@ let run spec =
           in
           mig_result := Some res;
           repoint ());
-      let crash_at d h =
+      let crash_at delay h =
         Cluster.spawn cl (fun () ->
-            Engine.sleep eng (t_m + d);
+            Engine.sleep eng (t_m + delay);
             if Machine.is_alive (Cluster.machine cl h) then begin
               Machine.crash (Cluster.machine cl h);
               crashed := h :: !crashed
@@ -203,28 +197,11 @@ let run spec =
                  | Router.Value _ -> ()
                  | _ -> sent_lost := k :: !sent_lost)
                (List.rev !sent_acked)));
-      let wspec =
-        {
-          Workload.keys = 200;
-          value_bytes = 16;
-          read_ratio = 0.25;
-          dist = Workload.Zipf 0.99;
-          mode = Workload.Closed spec.mc_workers;
-          duration;
-          ramp = Time.ms 50;
-          seed;
-        }
-      in
-      let res = Workload.run cl ~routers:rs ~map wspec in
-      completed := res.Workload.completed;
-      failed := res.Workload.failed;
+      let t = Driver.drive d (Driver.Closed spec.mc_workers) in
       (* quiesce: let nack repair and slow-member catch-up drain the
          last acked writes into every stream before judging them *)
       Engine.sleep eng (Time.sec 5);
-      let add label v =
-        verdicts := (label, v) :: !verdicts;
-        if not v.Checker.ok then all_ok := false
-      in
+      let add label v = verdicts := (label, v) :: !verdicts in
       (match !recovered with
       | None ->
           List.iter
@@ -253,23 +230,18 @@ let run spec =
             add
               (Printf.sprintf "shard %d'" shard)
               (Service.check_migration svc' ~shard ~crashed:[])
-          done;
-          if !sent_lost <> [] then
-            (* Every_commit: every acked sentinel must survive *)
-            all_ok := false));
-  Cluster.run ~until:(duration + Time.sec 60) cl;
-  {
-    o_spec = spec;
-    o_migration = !mig_result;
-    o_completed = !completed;
-    o_failed = !failed;
-    o_crashed = List.rev !crashed;
-    o_recovered = !recovered <> None;
-    o_sentinels_acked = List.length !sent_acked;
-    o_sentinels_lost = List.length !sent_lost;
-    o_verdicts = List.rev !verdicts;
-    o_ok = !all_ok;
-  }
+          done);
+      {
+        o_spec = spec;
+        o_migration = !mig_result;
+        o_completed = t.Driver.completed;
+        o_failed = t.Driver.failed;
+        o_crashed = List.rev !crashed;
+        o_recovered = !recovered <> None;
+        o_sentinels_acked = List.length !sent_acked;
+        o_sentinels_lost = List.length !sent_lost;
+        o_verdicts = List.rev !verdicts;
+      })
 
 let pp_outcome ppf o =
   Fmt.pf ppf "@[<v>%s@," (replay_line o.o_spec);
@@ -290,4 +262,4 @@ let pp_outcome ppf o =
     (fun (label, v) ->
       Fmt.pf ppf "%s: %a@," label Checker.pp_verdict v)
     o.o_verdicts;
-  Fmt.pf ppf "verdict:   %s@]" (if o.o_ok then "PASS" else "FAIL")
+  Fmt.pf ppf "verdict:   %s@]" (if ok o then "PASS" else "FAIL")

@@ -19,10 +19,9 @@ module Medium = Amoeba_net.Medium
 
 type spec = {
   mc_seed : int;
-  mc_fabric : Medium.spec;
-  mc_hostile : bool;
-      (** persistently adversarial links: bursty loss, dup, reorder,
-          corruption — the chaos swarms' profile *)
+  mc_net : Medium.spec * Medium.conditions;
+      (** fabric + link conditions, as [--net] parses them; the swarm's
+          hostile cases use the [adversarial] profile *)
   mc_crash_source : bool;
   mc_crash_dest : bool;
   mc_power_cycle : bool;
@@ -45,17 +44,17 @@ type outcome = {
   o_sentinels_lost : int;
   o_verdicts : (string * Checker.verdict) list;
       (** per shard; primed labels are the recovered service's *)
-  o_ok : bool;
 }
 
 val run : spec -> outcome
 (** One deterministic run; builds its own cluster. *)
 
 val ok : outcome -> bool
-(** Every verdict holds and (under fsync-per-commit) no acked sentinel
-    was lost across the power cycle. *)
+(** There are verdicts, every one holds, and no acked sentinel was lost
+    across the power cycle (which runs under fsync-per-commit). *)
 
 val replay_line : spec -> string
-(** The CLI invocation that replays this spec. *)
+(** The CLI invocation that replays this spec ([--workers] and
+    [--duration] only when they differ from {!default}). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

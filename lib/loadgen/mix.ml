@@ -20,6 +20,9 @@ let ycsb_d =
   { name = "ycsb-d"; read = 0.95; insert = 0.05; txn = 0.0;
     dist = Keygen.Latest 0.99 }
 
+let read_write ~read dist =
+  { name = Printf.sprintf "read%g" read; read; insert = 0.0; txn = 0.0; dist }
+
 let of_string s =
   let s = String.lowercase_ascii s in
   let s =

@@ -1,8 +1,8 @@
 (** YCSB-style operation mixes.
 
     A mix is the probability split over operation kinds plus the key
-    popularity shape the generator samples from (shared with the
-    closed-loop workload engine via {!Amoeba_service.Keygen}). *)
+    popularity shape the generator samples from (see
+    {!Amoeba_service.Keygen}). *)
 
 type t = {
   name : string;  (** for tables and JSON rows, e.g. ["ycsb-a"] *)
@@ -28,6 +28,10 @@ val ycsb_c : t
 val ycsb_d : t
 (** 95 % reads / 5 % inserts, read-latest popularity: reads skew to
     the most recently inserted keys. *)
+
+val read_write : read:float -> Amoeba_service.Keygen.dist -> t
+(** Single-key reads with probability [read], updates otherwise — the
+    closed-loop service workloads' shape ([read] 0 is write-only). *)
 
 val of_string : string -> (t, string) result
 (** ["a"] | ["b"] | ["c"] | ["d"] (also with a ["ycsb-"] prefix). *)

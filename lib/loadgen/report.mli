@@ -39,6 +39,11 @@ val sweep_configs : smoke:bool -> (int * int * int * string) list
     bursty-loss rows on each fabric — 10 configurations.  Smoke: two
     tiny ones, one with the adversarial profile. *)
 
+val config_of :
+  params -> shards:int -> hosts:int -> routers:int -> net:string -> Driver.config
+(** The driver config of one sweep configuration; raises [Failure] on
+    an unparseable [net]. *)
+
 val run_row :
   params -> shards:int -> hosts:int -> routers:int -> net:string -> row
 (** One saturation search; raises [Failure] on an unparseable [net]. *)

@@ -1,6 +1,6 @@
-(** Seeded key-popularity generators, shared between the closed/open
-    loop {!Workload} engine and the loadgen subsystem's mixed-workload
-    generators — one Zipf implementation, not two.
+(** Seeded key-popularity generators behind every service workload:
+    the loadgen driver's open- and closed-loop modes and the
+    benchmark's trials draw keys here — one Zipf implementation.
 
     A generator owns any precomputed tables (the Zipf cumulative
     weights) and the mutable insert frontier the "latest" distribution
@@ -40,5 +40,5 @@ val frontier : t -> int
 (** Keys allocated so far (initially [keys]). *)
 
 val key : int -> string
-(** The wire key for an index: [key 7 = "k7"] — the [Workload]
-    convention every service workload uses. *)
+(** The wire key for an index: [key 7 = "k7"] — the convention every
+    service workload uses. *)

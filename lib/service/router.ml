@@ -329,9 +329,16 @@ let worker t flip ss () =
   in
   loop ()
 
-let create flip ?(pipeline = 4) ?(max_batch = 1) ?(batch_delay = Time.us 500)
+let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
     ?(timeout = Time.ms 250) ?(attempts = 12) ?(stale_reads = false) ~map
     ~endpoints () =
+  (* One worker per shard when batching: a single accumulate-and-ship
+     pipeline per (router, shard) forms the largest batches and keeps
+     replica endpoints uncontended; concurrency across routers and the
+     kernels' pipelining cover the in-flight depth. *)
+  let pipeline =
+    Option.value pipeline ~default:(if max_batch > 1 then 1 else 4)
+  in
   let machine = Flip.machine flip in
   let engine = Machine.engine machine in
   let t =

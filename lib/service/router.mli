@@ -33,8 +33,9 @@ val create :
   endpoints:Service.endpoint array array ->
   unit ->
   t
-(** [pipeline] (default 4) is the number of concurrent workers per
-    shard; [timeout] (default 250 ms) bounds each RPC attempt;
+(** [pipeline] is the number of concurrent workers per shard: by
+    default 4, or 1 when [max_batch] > 1 (one gatherer per shard forms
+    the largest batches); [timeout] (default 250 ms) bounds each RPC attempt;
     [attempts] (default 12) bounds retries/failovers per request; a
     dead-host verdict suspects every endpoint on that machine at
     once, so one failover spends one attempt however many endpoints

@@ -1,74 +1,21 @@
 type t = {
-  mutable data : float array;
   mutable size : int;
   mutable mean_acc : float;
-  mutable m2 : float;  (* sum of squared deviations from the running mean *)
   mutable low : float;
   mutable high : float;
-  mutable sorted : float array option;
-      (* cached sorted copy for percentile; invalidated by [add] *)
 }
 
-let create () =
-  {
-    data = [||];
-    size = 0;
-    mean_acc = 0.;
-    m2 = 0.;
-    low = infinity;
-    high = neg_infinity;
-    sorted = None;
-  }
+let create () = { size = 0; mean_acc = 0.; low = infinity; high = neg_infinity }
 
-(* Welford's online algorithm: numerically stable variance, unlike the
-   sum_sq/n - mean^2 formula whose cancellation can go negative for
-   large same-magnitude samples. *)
+(* Running mean (Welford's update): no float sum to lose precision in
+   over long runs. *)
 let add t x =
-  let cap = Array.length t.data in
-  if t.size >= cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let data = Array.make ncap 0. in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end;
-  t.data.(t.size) <- x;
   t.size <- t.size + 1;
-  t.sorted <- None;
-  let delta = x -. t.mean_acc in
-  t.mean_acc <- t.mean_acc +. (delta /. float_of_int t.size);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean_acc));
+  t.mean_acc <- t.mean_acc +. ((x -. t.mean_acc) /. float_of_int t.size);
   if x < t.low then t.low <- x;
   if x > t.high then t.high <- x
 
 let count t = t.size
 let mean t = if t.size = 0 then 0. else t.mean_acc
-
-let stddev t =
-  if t.size < 2 then 0.
-  else
-    let v = t.m2 /. float_of_int t.size in
-    if v <= 0. then 0. else sqrt v
-
 let min_value t = if t.size = 0 then 0. else t.low
 let max_value t = if t.size = 0 then 0. else t.high
-
-let sorted_samples t =
-  match t.sorted with
-  | Some s -> s
-  | None ->
-      let s = Array.sub t.data 0 t.size in
-      Array.sort Float.compare s;
-      t.sorted <- Some s;
-      s
-
-let percentile t p =
-  if t.size = 0 then 0.
-  else begin
-    let sorted = sorted_samples t in
-    let rank =
-      int_of_float (Float.round (p /. 100. *. float_of_int (t.size - 1)))
-    in
-    sorted.(max 0 (min (t.size - 1) rank))
-  end
-
-let samples t = Array.sub t.data 0 t.size

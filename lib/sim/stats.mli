@@ -1,4 +1,6 @@
-(** Simple descriptive statistics for experiment results. *)
+(** Simple descriptive statistics for experiment results.  Percentiles
+    live in the loadgen [Histogram]; this accumulator keeps only what
+    the paper's tables report. *)
 
 type t
 (** A mutable accumulator of float samples. *)
@@ -12,16 +14,6 @@ val count : t -> int
 val mean : t -> float
 (** 0 when empty. *)
 
-val stddev : t -> float
-(** Population standard deviation; 0 when fewer than two samples. *)
-
 val min_value : t -> float
 
 val max_value : t -> float
-
-val percentile : t -> float -> float
-(** [percentile t p] for [p] in [0..100], by nearest-rank on the
-    sorted samples.  0 when empty. *)
-
-val samples : t -> float array
-(** A copy of the samples in insertion order. *)

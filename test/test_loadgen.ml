@@ -1,8 +1,8 @@
 (* Tests for the load-generation subsystem: the log-bucketed latency
    histogram (merge associativity, bounded relative error), the value-
    size and key-popularity distributions, the YCSB mix sampler, the
-   SLO-driven saturation search, the open-loop driver's determinism,
-   and the BENCH_loadgen.json schema check. *)
+   SLO-driven saturation search, the driver's determinism and its
+   closed-loop drain, and the BENCH_loadgen.json schema check. *)
 
 open Amoeba_loadgen
 module Keygen = Amoeba_service.Keygen
@@ -276,6 +276,38 @@ let test_driver_deterministic () =
   if t1.Driver.completed = 0 then Alcotest.fail "trial completed nothing";
   if t1.Driver.txns = 0 then Alcotest.fail "mix should have produced txns"
 
+(* A closed-loop trial returns only once every client's last op has:
+   with every replica host dead when the window opens, each op fails
+   only once its router attempts run out, and 512 clients queue behind
+   the router's 4 workers, so the drain runs past a minute.  The trial
+   still comes back, with every op accounted. *)
+let test_closed_drain_outlasts_a_minute () =
+  let cfg =
+    {
+      Driver.default with
+      Driver.hosts = 2;
+      routers = 1;
+      max_batch = 1;
+      keys = 50;
+      duration = Amoeba_sim.Time.ms 500;
+      warmup = Amoeba_sim.Time.zero;
+    }
+  in
+  let t, ended =
+    Driver.bring_up cfg (fun d ->
+        let cl = d.Driver.cluster in
+        List.iter
+          (fun h -> Amoeba_net.Machine.crash (Amoeba_harness.Cluster.machine cl h))
+          [ 0; 1 ];
+        let t = Driver.drive d (Driver.Closed 512) in
+        (t, Amoeba_harness.Cluster.now cl))
+  in
+  Alcotest.(check bool) "drain outlasted a minute" true
+    (ended > Amoeba_sim.Time.sec 60);
+  Alcotest.(check int) "one op per client" 512 t.Driver.attempted;
+  Alcotest.(check int) "every op accounted" t.Driver.attempted
+    (t.Driver.completed + t.Driver.failed)
+
 (* ---------- BENCH_loadgen.json schema ---------- *)
 
 let sample_rows params =
@@ -358,6 +390,8 @@ let suite =
         test_saturation_deterministic;
       Alcotest.test_case "driver: deterministic trial" `Slow
         test_driver_deterministic;
+      Alcotest.test_case "driver: closed loop outlasts a minute's drain"
+        `Slow test_closed_drain_outlasts_a_minute;
       Alcotest.test_case "report: schema accepts valid" `Quick
         test_report_schema_ok;
       Alcotest.test_case "report: schema rejects missing fields" `Quick

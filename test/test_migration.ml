@@ -8,6 +8,7 @@ open Amoeba_sim
 open Amoeba_net
 open Amoeba_harness
 open Amoeba_service
+module Migration_chaos = Amoeba_loadgen.Migration_chaos
 
 (* ---------- shard-map reassignment properties ---------- *)
 
@@ -297,6 +298,8 @@ let fabrics =
     Medium.Switched { Switch.segments = 2; segment_size = 3; uplink_mult = 2 };
   ]
 
+let adversarial = List.assoc "adversarial" Medium.condition_profiles
+
 let swarm_case =
   let gen =
     QCheck.Gen.(
@@ -309,8 +312,7 @@ let swarm_case =
       return
         {
           Migration_chaos.mc_seed = seed;
-          mc_fabric = fabric;
-          mc_hostile = hostile;
+          mc_net = (fabric, if hostile then adversarial else Medium.clean);
           mc_crash_source = crash_source;
           mc_crash_dest = crash_dest;
           mc_power_cycle = power;
@@ -338,6 +340,52 @@ let prop_migration_chaos_deterministic =
       in
       Migration_chaos.run spec = Migration_chaos.run spec)
 
+(* The replay line carries the whole spec: its [--net] argument parses
+   back to the fabric and conditions that ran, for every profile, and
+   non-default workers and duration are printed too. *)
+let test_replay_line_round_trips () =
+  List.iter
+    (fun fabric ->
+      List.iter
+        (fun (name, conds) ->
+          let line =
+            Migration_chaos.replay_line
+              {
+                (Migration_chaos.default ~seed:3) with
+                Migration_chaos.mc_net = (fabric, conds);
+                mc_workers = 5;
+                mc_duration_ms = 900;
+              }
+          in
+          let rec after flag = function
+            | f :: v :: _ when f = flag -> v
+            | _ :: rest -> after flag rest
+            | [] -> Alcotest.failf "%S lacks %s" line flag
+          in
+          let words = String.split_on_char ' ' line in
+          Alcotest.(check bool) (name ^ ": net replayed") true
+            (Medium.net_of_string (after "--net" words) = Ok (fabric, conds));
+          Alcotest.(check (list string)) (name ^ ": workers, duration")
+            [ "5"; "900" ]
+            [ after "--workers" words; after "--duration" words ])
+        Medium.condition_profiles)
+    fabrics
+
+(* Each profile runs itself, not one shared hostile stand-in. *)
+let test_profiles_differ () =
+  let run name =
+    Migration_chaos.run
+      {
+        (Migration_chaos.default ~seed:1) with
+        Migration_chaos.mc_net =
+          (Medium.Shared, List.assoc name Medium.condition_profiles);
+      }
+  in
+  let dup = run "dup" and adv = run "adversarial" in
+  Alcotest.(check bool) "dup passes" true (Migration_chaos.ok dup);
+  Alcotest.(check bool) "dup and adversarial runs differ" true
+    ({ dup with Migration_chaos.o_spec = adv.Migration_chaos.o_spec } <> adv)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let rand = Random.State.make [| 0x316A7E |] in
@@ -349,6 +397,8 @@ let suite =
       tc "dead destination rolls back" test_migrate_rollback_on_dead_target;
       QCheck_alcotest.to_alcotest ~rand prop_reassign_touches_exactly_one_shard;
       QCheck_alcotest.to_alcotest ~rand prop_reassign_sequence_keeps_spreading;
+      tc "chaos replay line round-trips every net" test_replay_line_round_trips;
+      tc "chaos net profiles run as themselves" test_profiles_differ;
       QCheck_alcotest.to_alcotest ~rand prop_migration_swarm;
       QCheck_alcotest.to_alcotest ~rand prop_migration_chaos_deterministic;
     ] )

@@ -1,7 +1,7 @@
 (* Tests for the sharded service layer: the shard map, the wire
    codecs, isolation of multiple groups sharing one Ethernet, service
    end-to-end operation, router failover across a sequencer crash, and
-   the workload engine. *)
+   the load driver's closed and open loops against it. *)
 
 open Amoeba_sim
 open Amoeba_net
@@ -9,6 +9,8 @@ open Amoeba_core
 open Amoeba_harness
 open Amoeba_service
 module T = Types
+module Driver = Amoeba_loadgen.Driver
+module Mix = Amoeba_loadgen.Mix
 
 (* ---------- shard map ---------- *)
 
@@ -492,7 +494,7 @@ let test_batch_flush_on_size () =
       let map = Shard_map.create ~shards:1 ~replication:2 ~hosts:[ 0; 1 ] () in
       let svc = Service.deploy cl ~map ~resilience:0 () in
       let router =
-        Router.create (Cluster.flip cl 4) ~max_batch:4 ~pipeline:1
+        Router.create (Cluster.flip cl 4) ~max_batch:4
           ~batch_delay:(Time.sec 1) ~map
           ~endpoints:(Service.endpoints svc) ()
       in
@@ -523,7 +525,7 @@ let test_batch_flush_on_timeout () =
       let map = Shard_map.create ~shards:1 ~replication:2 ~hosts:[ 0; 1 ] () in
       let svc = Service.deploy cl ~map ~resilience:0 () in
       let router =
-        Router.create (Cluster.flip cl 4) ~max_batch:64 ~pipeline:1
+        Router.create (Cluster.flip cl 4) ~max_batch:64
           ~batch_delay:(Time.ms 2) ~map
           ~endpoints:(Service.endpoints svc) ()
       in
@@ -557,7 +559,7 @@ let test_batch_spans_sequencer_crash () =
       let map = Shard_map.create ~shards:1 ~replication:3 ~hosts:[ 0; 1; 2 ] () in
       let svc = Service.deploy cl ~map ~resilience:1 ~record:true () in
       let router =
-        Router.create (Cluster.flip cl 4) ~max_batch:8 ~pipeline:1
+        Router.create (Cluster.flip cl 4) ~max_batch:8
           ~batch_delay:(Time.ms 2) ~attempts:30 ~map
           ~endpoints:(Service.endpoints svc) ()
       in
@@ -587,58 +589,54 @@ let test_batch_spans_sequencer_crash () =
         vs
   | _ -> Alcotest.fail "expected verdicts for exactly one shard"
 
-(* ---------- workload engine ---------- *)
+(* ---------- the load driver against the service ---------- *)
+
+(* 2 shards x 2 replicas over 4 hosts on the paper's 10 Mbit wire,
+   unbatched. *)
+let small_service ~routers ~keys ~read ~dist ~value_bytes ~seed =
+  {
+    Driver.default with
+    Driver.shards = 2;
+    hosts = 4;
+    routers;
+    replication = 2;
+    wire_mbps = 10;
+    max_batch = 1;
+    pipeline_depth = 1;
+    mix = Mix.read_write ~read dist;
+    keys;
+    value_dist = Amoeba_loadgen.Dist.Fixed value_bytes;
+    duration = Time.sec 2;
+    warmup = Time.zero;
+    seed;
+  }
 
 let run_workload ~seed () =
-  let cl = Cluster.create ~n:6 ~seed:5 () in
-  let result = ref None in
-  Cluster.spawn cl (fun () ->
-      let map =
-        Shard_map.create ~shards:2 ~replication:2 ~hosts:[ 0; 1; 2; 3 ] ()
-      in
-      let svc = Service.deploy cl ~map ~resilience:0 () in
-      let router i =
-        Router.create (Cluster.flip cl i) ~map
-          ~endpoints:(Service.endpoints svc) ()
-      in
-      let spec =
-        {
-          Workload.keys = 50;
-          value_bytes = 16;
-          read_ratio = 0.5;
-          dist = Workload.Zipf 0.99;
-          mode = Workload.Closed 4;
-          duration = Time.sec 2;
-          ramp = Time.zero;
-          seed;
-        }
-      in
-      result := Some (Workload.run cl ~routers:[ router 4; router 5 ] ~map spec));
-  Cluster.run ~until:(Time.sec 60) cl;
-  match !result with
-  | Some r -> r
-  | None -> Alcotest.fail "workload did not finish"
+  Driver.bring_up ~resilience:0
+    (small_service ~routers:2 ~keys:50 ~read:0.5 ~dist:(Keygen.Zipf 0.99)
+       ~value_bytes:16 ~seed)
+    (fun d -> Driver.drive d (Driver.Closed 4))
 
 let test_workload_smoke () =
   let r = run_workload ~seed:42 () in
-  Alcotest.(check bool) "made progress" true (r.Workload.completed > 100);
-  Alcotest.(check int) "no failures" 0 r.Workload.failed;
-  Alcotest.(check int) "all ops accounted" r.Workload.attempted
-    (r.Workload.completed + r.Workload.failed);
+  Alcotest.(check bool) "made progress" true (r.Driver.completed > 100);
+  Alcotest.(check int) "no failures" 0 r.Driver.failed;
+  Alcotest.(check int) "all ops accounted" r.Driver.attempted
+    (r.Driver.completed + r.Driver.failed);
   Alcotest.(check bool) "both shards hit" true
-    (Array.for_all (fun n -> n > 0) r.Workload.per_shard);
-  Alcotest.(check bool) "mixed ops" true (r.Workload.reads > 0 && r.Workload.writes > 0);
+    (Array.for_all (fun n -> n > 0) r.Driver.per_shard);
+  Alcotest.(check bool) "mixed ops" true (r.Driver.reads > 0 && r.Driver.updates > 0);
   Alcotest.(check bool) "percentiles ordered" true
-    (r.Workload.p50_ms <= r.Workload.p95_ms
-    && r.Workload.p95_ms <= r.Workload.p99_ms
-    && r.Workload.p99_ms <= r.Workload.max_ms)
+    (r.Driver.p50_ms <= r.Driver.p95_ms
+    && r.Driver.p95_ms <= r.Driver.p99_ms
+    && r.Driver.p99_ms <= r.Driver.max_ms)
 
 let test_workload_deterministic () =
   let r1 = run_workload ~seed:42 () in
   let r2 = run_workload ~seed:42 () in
-  Alcotest.(check int) "same completed" r1.Workload.completed r2.Workload.completed;
-  Alcotest.(check int) "same attempted" r1.Workload.attempted r2.Workload.attempted;
-  Alcotest.(check (float 0.0)) "same p99" r1.Workload.p99_ms r2.Workload.p99_ms
+  Alcotest.(check int) "same completed" r1.Driver.completed r2.Driver.completed;
+  Alcotest.(check int) "same attempted" r1.Driver.attempted r2.Driver.attempted;
+  Alcotest.(check (float 0.0)) "same p99" r1.Driver.p99_ms r2.Driver.p99_ms
 
 (* Retry backoff jitter must not cost determinism: the jitter stream
    is seeded per router and only consumed on retries, so two identical
@@ -649,36 +647,16 @@ let test_jitter_deterministic () =
   Alcotest.(check bool) "identical runs" true (r1 = r2)
 
 let test_workload_open_loop () =
-  let cl = Cluster.create ~n:5 ~seed:9 () in
-  let result = ref None in
-  Cluster.spawn cl (fun () ->
-      let map = Shard_map.create ~shards:2 ~replication:2 ~hosts:[ 0; 1; 2; 3 ] () in
-      let svc = Service.deploy cl ~map ~resilience:0 () in
-      let router =
-        Router.create (Cluster.flip cl 4) ~map
-          ~endpoints:(Service.endpoints svc) ()
-      in
-      let spec =
-        {
-          Workload.keys = 20;
-          value_bytes = 8;
-          read_ratio = 0.8;
-          dist = Workload.Uniform;
-          mode = Workload.Open 100.0;
-          duration = Time.sec 2;
-          ramp = Time.zero;
-          seed = 1;
-        }
-      in
-      result := Some (Workload.run cl ~routers:[ router ] ~map spec));
-  Cluster.run ~until:(Time.sec 60) cl;
-  match !result with
-  | None -> Alcotest.fail "workload did not finish"
-  | Some r ->
-      (* ~200 Poisson arrivals in 2 s at rate 100/s. *)
-      Alcotest.(check bool) "arrivals near the configured rate" true
-        (r.Workload.attempted > 120 && r.Workload.attempted < 280);
-      Alcotest.(check int) "no failures" 0 r.Workload.failed
+  let r =
+    Driver.bring_up ~resilience:0
+      (small_service ~routers:1 ~keys:20 ~read:0.8 ~dist:Keygen.Uniform
+         ~value_bytes:8 ~seed:1)
+      (fun d -> Driver.drive d (Driver.Open 100.0))
+  in
+  (* ~200 Poisson arrivals in 2 s at rate 100/s. *)
+  Alcotest.(check bool) "arrivals near the configured rate" true
+    (r.Driver.attempted > 120 && r.Driver.attempted < 280);
+  Alcotest.(check int) "no failures" 0 r.Driver.failed
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
