@@ -39,6 +39,7 @@ type info = {
   status_solicitations : int;
   resets_survived : int;
   duplicates_dropped : int;
+  stale_refused : int;
   corrupt_dropped : int;
   reorders_absorbed : int;
   batches_sent : int;
@@ -145,6 +146,7 @@ let get_info_group g =
     status_solicitations = (Kernel.stats g.k).Kernel.status_solicitations;
     resets_survived = (Kernel.stats g.k).Kernel.resets_survived;
     duplicates_dropped = (Kernel.stats g.k).Kernel.duplicates_dropped;
+    stale_refused = (Kernel.stats g.k).Kernel.stale_refused;
     corrupt_dropped = (Kernel.stats g.k).Kernel.corrupt_dropped;
     reorders_absorbed = (Kernel.stats g.k).Kernel.reorders_absorbed;
     batches_sent = (Kernel.stats g.k).Kernel.batches_sent;

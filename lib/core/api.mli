@@ -52,6 +52,9 @@ type info = {
   resets_survived : int;  (** recovery incarnations installed *)
   duplicates_dropped : int;
       (** duplicated or stale frames refused by the receive paths *)
+  stale_refused : int;
+      (** of those, requests this member refused as sequencer because a
+          later msgid from the same sender was already sequenced *)
   corrupt_dropped : int;  (** checksum-rejected damaged payloads *)
   reorders_absorbed : int;  (** frames slotted despite arriving late *)
   batches_sent : int;  (** sends carrying more than one client op *)

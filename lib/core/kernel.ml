@@ -26,6 +26,10 @@ type stats = {
   mutable nacks_sent : int;
   mutable retransmissions : int;
   mutable duplicates_dropped : int;
+  mutable stale_refused : int;
+      (** requests refused because a later msgid from the same sender
+          was already sequenced and they are not held here; part of
+          [duplicates_dropped] *)
   mutable acks_collected : int;
   mutable status_solicitations : int;
   mutable resets_survived : int;
@@ -80,7 +84,9 @@ type seq_state = {
   mutable dedup_msgid : int array;  (** mid-indexed: sender -> last msgid; -1 = none *)
   mutable dedup_seq : seqno array;  (** seq assigned to that msgid *)
   tents : (seqno, tent) Hashtbl.t;
-  parked : Wire.msg Queue.t;  (** requests waiting for history space *)
+  parked : (mid * int * int * payload) Queue.t;
+      (** sender, msgid, ops, payload: requests waiting for history
+          space, oldest first *)
   mutable soliciting : bool;
   mutable next_mid : mid;
   mutable pending_joins : (Addr.t * mid) list;  (** sequenced, undelivered *)
@@ -204,6 +210,7 @@ let new_stats () =
     nacks_sent = 0;
     retransmissions = 0;
     duplicates_dropped = 0;
+    stale_refused = 0;
     acks_collected = 0;
     status_solicitations = 0;
     resets_survived = 0;
@@ -715,10 +722,14 @@ and seq_prune t s =
     List.fold_left (fun acc (m, _) -> min acc (ack_get s m)) max_int t.members
   in
   if min_ack >= 0 && min_ack < max_int then History.prune_below t.history (min_ack + 1);
-  (* Freed space lets parked requests through. *)
+  (* Freed space lets parked requests through, oldest first.  Each is
+     admitted directly, not through [sequencer_accept]: its drain would
+     sequence the rest of the queue ahead of this request, newest
+     first, and the per-sender dedup would then refuse every older
+     msgid as stale. *)
   while (not (Queue.is_empty s.parked)) && seq_space_available t s do
-    let msg = Queue.pop s.parked in
-    handle_at_sequencer t s msg
+    let sender, msgid, ops, payload = Queue.pop s.parked in
+    seq_admit ~via_bb:false ~ops t s ~sender ~msgid payload
   done
 
 and seq_make_stable t s seq =
@@ -763,21 +774,40 @@ and sequencer_accept ?(via_bb = false) ?(ops = 1) t ~sender ~msgid ~piggy
     payload =
   match t.seqs with
   | None -> ()
-  | Some s -> (
+  | Some s ->
       ack_set s sender piggy;
       seq_prune t s;
-      let last_msgid =
-        if sender >= 0 && sender < Array.length s.dedup_msgid then
-          s.dedup_msgid.(sender)
-        else -1
-      in
-      match () with
-      | () when last_msgid = msgid ->
-          (* Duplicate request: the sender missed our multicast. *)
-          let sq = s.dedup_seq.(sender) in
-          t.st.duplicates_dropped <- t.st.duplicates_dropped + 1;
-          (match seq_find_entry s sq with
-          | Some (e, needs_accept) ->
+      seq_admit ~via_bb ~ops t s ~sender ~msgid payload
+
+(* Sequence one request, or refuse or park it; its piggybacked ack is
+   already recorded. *)
+and seq_admit ~via_bb ~ops t s ~sender ~msgid payload =
+  let last_msgid =
+    if sender >= 0 && sender < Array.length s.dedup_msgid then
+      s.dedup_msgid.(sender)
+    else -1
+  in
+  match () with
+  | () when last_msgid = msgid ->
+      (* Duplicate request: the sender missed our multicast. *)
+      let sq = s.dedup_seq.(sender) in
+      t.st.duplicates_dropped <- t.st.duplicates_dropped + 1;
+      (match seq_find_entry s sq with
+      | Some (e, needs_accept) ->
+          unicast_mid t ~mid:sender
+            (Wire.Data
+               {
+                 seq = e.seq;
+                 sender = e.sender;
+                 msgid = e.msgid;
+                 inc = t.inc;
+                 ops = e.ops;
+                 payload = e.payload;
+                 needs_accept;
+               })
+      | None -> (
+          match History.find t.history sq with
+          | Some e ->
               unicast_mid t ~mid:sender
                 (Wire.Data
                    {
@@ -787,68 +817,62 @@ and sequencer_accept ?(via_bb = false) ?(ops = 1) t ~sender ~msgid ~piggy
                      inc = t.inc;
                      ops = e.ops;
                      payload = e.payload;
-                     needs_accept;
+                     needs_accept = false;
                    })
-          | None -> (
-              match History.find t.history sq with
-              | Some e ->
-                  unicast_mid t ~mid:sender
-                    (Wire.Data
-                       {
-                         seq = e.seq;
-                         sender = e.sender;
-                         msgid = e.msgid;
-                         inc = t.inc;
-                         ops = e.ops;
-                         payload = e.payload;
-                         needs_accept = false;
-                       })
-              | None -> ()))
-      | () when msgid < last_msgid ->
-          t.st.duplicates_dropped <- t.st.duplicates_dropped + 1
-      | () ->
-          if not (seq_space_available t s) then begin
-            (* History full: park the request and solicit member
-               status so pruning can make room. *)
-            Queue.push
-              (Wire.Req { sender; msgid; piggy; inc = t.inc; ops; payload })
-              s.parked;
-            if not s.soliciting then begin
-              s.soliciting <- true;
-              t.st.status_solicitations <- t.st.status_solicitations + 1;
-              multicast t (status_req t);
-              arm_solicit t
-            end
-          end
-          else begin
-            let seq = s.next_seq in
-            s.next_seq <- seq + 1;
-            dedup_set s sender ~msgid ~seq;
-            let needs_accept =
-              (match payload with User _ -> true | Ctrl _ -> false)
-              && t.cfg.resilience > 0
-            in
-            let wait =
-              if needs_accept then
-                List.filter (fun m -> m <> t.mid) (ackers t ~sender)
-              else []
-            in
-            let entry = { History.seq; sender; msgid; ops; payload } in
-            Hashtbl.replace s.tents seq
-              { t_entry = entry; t_needs_accept = needs_accept; t_wait = wait;
-                t_accepted = false };
-            (* Announce to the group. *)
-            if via_bb then
-              multicast t (Wire.Accept { seq; sender; msgid; inc = t.inc })
-            else
-              multicast t
-                (Wire.Data
-                   { seq; sender; msgid; inc = t.inc; ops; payload; needs_accept });
-            (* Local member processing of our own announcement. *)
-            charge_deliver ~ops t;
-            member_data t ~seq ~sender ~msgid ~ops ~payload ~needs_accept;
-            if wait = [] then seq_make_stable t s seq
-          end)
+          | None -> ()))
+  | () when msgid < last_msgid ->
+      t.st.duplicates_dropped <- t.st.duplicates_dropped + 1;
+      (* Unless this is a late copy of a request still held here, a
+         later msgid from the sender overtook it, and the send behind
+         it can only fail. *)
+      let is_it (e : History.entry) = e.sender = sender && e.msgid = msgid in
+      let h = t.history in
+      if
+        not
+          (List.exists is_it (History.range h ~lo:(History.lo h) ~hi:(History.hi h))
+          || Hashtbl.fold (fun _ tn held -> held || is_it tn.t_entry) s.tents false)
+      then t.st.stale_refused <- t.st.stale_refused + 1
+  | () ->
+      if not (seq_space_available t s) then begin
+        (* History full: park the request and solicit member status
+           so pruning can make room. *)
+        Queue.push (sender, msgid, ops, payload) s.parked;
+        if not s.soliciting then begin
+          s.soliciting <- true;
+          t.st.status_solicitations <- t.st.status_solicitations + 1;
+          multicast t (status_req t);
+          arm_solicit t
+        end
+      end
+      else begin
+        let seq = s.next_seq in
+        s.next_seq <- seq + 1;
+        dedup_set s sender ~msgid ~seq;
+        let needs_accept =
+          (match payload with User _ -> true | Ctrl _ -> false)
+          && t.cfg.resilience > 0
+        in
+        let wait =
+          if needs_accept then
+            List.filter (fun m -> m <> t.mid) (ackers t ~sender)
+          else []
+        in
+        let entry = { History.seq; sender; msgid; ops; payload } in
+        Hashtbl.replace s.tents seq
+          { t_entry = entry; t_needs_accept = needs_accept; t_wait = wait;
+            t_accepted = false };
+        (* Announce to the group. *)
+        if via_bb then
+          multicast t (Wire.Accept { seq; sender; msgid; inc = t.inc })
+        else
+          multicast t
+            (Wire.Data
+               { seq; sender; msgid; inc = t.inc; ops; payload; needs_accept });
+        (* Local member processing of our own announcement. *)
+        charge_deliver ~ops t;
+        member_data t ~seq ~sender ~msgid ~ops ~payload ~needs_accept;
+        if wait = [] then seq_make_stable t s seq
+      end
 
 and handle_at_sequencer t s msg =
   match msg with
@@ -1243,7 +1267,12 @@ and install_new_config t run ~global_max =
     (fun p ->
       t.msgid_counter <- t.msgid_counter + 1;
       p.p_msgid <- t.msgid_counter;
-      submit_send t p)
+      (* The armed timer names the old msgid, which no round answers
+         to any more: move it to the new one, or a resubmission that
+         parks or is lost here could neither retry nor fail. *)
+      (match p.p_timer with Some h -> Engine.cancel h | None -> ());
+      submit_send t p;
+      p.p_timer <- Some (arm_resend t ~msgid:p.p_msgid))
     t.inflight;
   finish_run t run (Ok (List.length members))
 

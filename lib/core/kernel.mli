@@ -53,6 +53,12 @@ type stats = {
   mutable nacks_sent : int;
   mutable retransmissions : int;  (** repairs served by the sequencer *)
   mutable duplicates_dropped : int;
+      (** duplicated or stale frames refused by the receive paths *)
+  mutable stale_refused : int;
+      (** of those, sequencer requests refused because a later msgid
+          from the same sender was already sequenced and the request
+          itself is not held (a late copy of a held one is a plain
+          duplicate): the send behind such a request can only fail *)
   mutable acks_collected : int;  (** resilience acks at the sequencer *)
   mutable status_solicitations : int;
       (** status requests multicast to unblock a full history *)

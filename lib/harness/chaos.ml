@@ -22,6 +22,7 @@ type outcome = {
   rx_overflows : int;
   machine_restarts : int;
   duplicates_dropped : int;  (** kernel-refused duplicate/stale frames *)
+  stale_refused : int;
   corrupt_dropped : int;  (** group-checksum rejections, summed over kernels *)
   reorders_absorbed : int;
   flip_checksum_drops : int;  (** header-corrupt frames dropped at FLIP *)
@@ -492,6 +493,7 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
         (fun acc m -> acc + Machine.restarts m)
         0 c.Cluster.machines;
     duplicates_dropped = sum (fun i -> i.Api.duplicates_dropped);
+    stale_refused = sum (fun i -> i.Api.stale_refused);
     corrupt_dropped = sum (fun i -> i.Api.corrupt_dropped);
     reorders_absorbed = sum (fun i -> i.Api.reorders_absorbed);
     flip_checksum_drops =
@@ -569,10 +571,10 @@ let print_report o =
      corruptions injected\n"
     o.cond_losses o.oneway_drops o.dups_injected o.corruptions_injected;
   Printf.printf
-    "absorbed:  %d duplicates dropped, %d corrupt dropped (%d at flip), %d \
-     reorders absorbed\n"
-    o.duplicates_dropped o.corrupt_dropped o.flip_checksum_drops
-    o.reorders_absorbed;
+    "absorbed:  %d duplicates dropped (%d stale refused), %d corrupt dropped \
+     (%d at flip), %d reorders absorbed\n"
+    o.duplicates_dropped o.stale_refused o.corrupt_dropped
+    o.flip_checksum_drops o.reorders_absorbed;
   if o.batches_sent > 0 || o.pipeline_depth_hwm > 1 then
     Printf.printf
       "batching:  %d batched sends, %.1f ops/batch avg, pipeline hwm %d\n"

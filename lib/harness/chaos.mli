@@ -32,6 +32,9 @@ type outcome = {
   machine_restarts : int;
   duplicates_dropped : int;
       (** duplicate/stale frames refused by kernel receive paths *)
+  stale_refused : int;
+      (** of those, sequencer requests refused because a later msgid
+          from the same sender was already sequenced *)
   corrupt_dropped : int;
       (** group-checksum rejections of damaged payloads, over kernels *)
   reorders_absorbed : int;  (** late frames slotted instead of refused *)

@@ -546,6 +546,84 @@ let test_replaying_ex_sequencer_serves_nacks () =
         "the lagging member repaired from the replayed history"
         [ "w"; "a"; "b"; "after" ] (message_bodies g2))
 
+(* Regression: the new sequencer takes over with a full history, so its
+   Reset control and its own resubmitted rounds park.  The drain that
+   released them re-entered itself and sequenced the queue newest
+   first; the per-sender dedup then refused every older msgid as stale,
+   the Reset among them, and those sends stayed blocked. *)
+let pipelined_reelection_at seed =
+  let cl = Cluster.create ~n:3 ~seed () in
+  let eng = cl.Cluster.engine in
+  let failure = ref (Some (Failure "scenario did not finish")) in
+  Cluster.spawn cl (fun () ->
+      try
+        let creator =
+          Api.create_group (Cluster.flip cl 0) ~resilience:1 ~auto_heal:true
+            ~pipeline:4 ()
+        in
+        let addr = Api.group_address creator in
+        let join i =
+          check_ok "join"
+            (Api.join_group (Cluster.flip cl i) ~resilience:1 ~auto_heal:true
+               ~pipeline:4 addr)
+        in
+        let g1 = join 1 in
+        let g2 = join 2 in
+        let record g =
+          let acc = ref [] in
+          Cluster.spawn cl (fun () ->
+              let rec loop () =
+                (match Api.receive_from_group g with
+                | T.Message { seq; body; _ } ->
+                    acc := Printf.sprintf "%d:%s" seq (Bytes.to_string body) :: !acc
+                | T.Group_reset { seq; _ } ->
+                    acc := Printf.sprintf "%d:reset" seq :: !acc
+                | _ -> ());
+                loop ()
+              in
+              loop ());
+          acc
+        in
+        let s1 = record g1 and s2 = record g2 in
+        for k = 1 to 200 do
+          ignore
+            (check_ok "fill" (Api.send_to_group g1 (body (Printf.sprintf "f%d" k))))
+        done;
+        let blocked = ref 0 in
+        List.iteri
+          (fun i g ->
+            for w = 0 to 3 do
+              Cluster.spawn cl (fun () ->
+                  for k = 1 to 40 do
+                    incr blocked;
+                    ignore
+                      (Api.send_to_group g (body (Printf.sprintf "%d.%d.%d" i w k)));
+                    decr blocked;
+                    Engine.sleep eng (Time.ms 20)
+                  done)
+            done)
+          [ g1; g2 ];
+        Engine.sleep eng (Time.ms 100);
+        Machine.crash (Cluster.machine cl 0);
+        Engine.sleep eng (Time.sec 15);
+        Alcotest.(check int) "no send still blocked" 0 !blocked;
+        let resets s =
+          List.length (List.filter (fun e -> String.ends_with ~suffix:":reset" e) !s)
+        in
+        Alcotest.(check (pair int int)) "one Group_reset per survivor" (1, 1)
+          (resets s1, resets s2);
+        Alcotest.(check (list string)) "survivors delivered identical streams"
+          (List.rev !s1) (List.rev !s2);
+        let stale g = (Api.get_info_group g).Api.stale_refused in
+        Alcotest.(check int) "nothing refused as stale" 0 (stale g1 + stale g2);
+        failure := None
+      with e -> failure := Some e);
+  Cluster.run ~until:(Time.sec 60) cl;
+  match !failure with Some e -> raise e | None -> ()
+
+let test_pipelined_reelection_strands_no_send () =
+  List.iter pipelined_reelection_at [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "recovery",
@@ -569,5 +647,7 @@ let suite =
         test_frozen_sequencer_defers_queued_sends;
       tc "replaying ex-sequencer serves nacks"
         test_replaying_ex_sequencer_serves_nacks;
+      tc "pipelined re-election strands no send"
+        test_pipelined_reelection_strands_no_send;
       QCheck_alcotest.to_alcotest prop_survivors_agree_after_random_crash;
     ] )

@@ -294,40 +294,75 @@ let test_service_end_to_end () =
    sequencer exercises the group's auto-heal underneath a router that
    keeps talking to the surviving followers. *)
 
-let run_crash_scenario ~crash_host ~expect_failover () =
-  let cl = Cluster.create ~n:5 ~seed:7 () in
+(* Puts [warm] keys, crashes [crash_host] and has [writers] concurrent
+   clients make [puts] puts each; the crash lands [crash_after] into
+   the writes (before them at 0).  Every put must commit and the
+   shard's invariants must hold; with [expect_reset], every surviving
+   replica must also have recorded exactly one reset. *)
+let run_crash_scenario ?(seed = 7) ?pipeline ?(warm = 10) ?(writers = 1)
+    ?(puts = 15) ?(crash_after = Time.zero) ?(expect_reset = false) ~crash_host
+    ~expect_failover () =
+  let cl = Cluster.create ~n:5 ~seed () in
+  let eng = cl.Cluster.engine in
   let verdicts = ref [] in
+  let resets = ref [] in
   let failover_stats = ref None in
   Cluster.spawn cl (fun () ->
       let map = Shard_map.create ~shards:1 ~replication:3 ~hosts:[ 0; 1; 2 ] () in
-      let svc = Service.deploy cl ~map ~resilience:1 ~record:true () in
+      let svc =
+        Service.deploy cl ~map ~resilience:1 ?pipeline ~record:true ()
+      in
       let router =
         Router.create (Cluster.flip cl 4) ~attempts:30 ~map
           ~endpoints:(Service.endpoints svc) ()
       in
-      for i = 1 to 10 do
+      for i = 1 to warm do
         match Router.put router ("k" ^ string_of_int i) "before" with
         | Router.Written -> ()
         | _ -> Alcotest.failf "pre-crash put %d failed" i
       done;
       let victim = crash_host map in
-      Machine.crash (Cluster.machine cl victim);
+      let crash () = Machine.crash (Cluster.machine cl victim) in
+      if crash_after = Time.zero then crash ();
       (* The group auto-heals around the dead member; the router must
          ride it out: probe, mark the replica suspect, fail over and
          retry until the write commits. *)
-      for i = 11 to 25 do
-        match Router.put router ("k" ^ string_of_int i) "after" with
-        | Router.Written -> ()
-        | r ->
-            Alcotest.failf "post-crash put %d did not commit (%s)" i
+      let results = Channel.create () in
+      for w = 1 to writers do
+        Cluster.spawn cl (fun () ->
+            for i = 1 to puts do
+              let k = Printf.sprintf "w%d.%d" w i in
+              Channel.send results (k, Router.put router k "after")
+            done)
+      done;
+      if crash_after > Time.zero then begin
+        Engine.sleep eng crash_after;
+        crash ()
+      end;
+      for _ = 1 to writers * puts do
+        match Channel.recv eng results with
+        | _, Router.Written -> ()
+        | k, r ->
+            Alcotest.failf "post-crash put %s did not commit (%s)" k
               (match r with
               | Router.Failed m -> m
               | Router.Value _ -> "value?"
               | Router.Not_found -> "not found?"
               | Router.Written -> "")
       done;
-      Engine.sleep cl.Cluster.engine (Time.sec 1);
+      Engine.sleep eng (Time.sec 1);
       failover_stats := Some (Router.stats router);
+      resets :=
+        List.filter_map
+          (fun st ->
+            if st.Checker.full then
+              Some
+                (List.length
+                   (List.filter
+                      (function T.Group_reset _ -> true | _ -> false)
+                      st.Checker.events))
+            else None)
+          (Service.checker_streams svc ~shard:0 ~crashed:(fun h -> h = victim));
       verdicts := Service.check svc ~crashed:[ victim ]);
   Cluster.run ~until:(Time.sec 120) cl;
   (match !failover_stats with
@@ -336,6 +371,8 @@ let run_crash_scenario ~crash_host ~expect_failover () =
       if expect_failover then
         Alcotest.(check bool)
           "router failed over at least once" true (st.Router.failovers >= 1));
+  if expect_reset then
+    Alcotest.(check (list int)) "one reset per surviving replica" [ 1; 1 ] !resets;
   match !verdicts with
   | [ (0, vs) ] ->
       List.iter
@@ -364,6 +401,19 @@ let test_router_failover_on_sequencer_crash () =
   run_crash_scenario
     ~crash_host:(fun map -> Shard_map.sequencer_host map 0)
     ~expect_failover:false ()
+
+let test_router_rides_pipelined_sequencer_crash () =
+  (* Regression: the new sequencer starts with a full history, and the
+     re-entrant drain of its parked requests refused its own Reset
+     control as stale, so no replica ever recorded the reset and the
+     replica's pipelined rounds stayed blocked behind it. *)
+  List.iter
+    (fun seed ->
+      run_crash_scenario ~seed ~pipeline:4 ~warm:150 ~writers:16 ~puts:20
+        ~crash_after:(Time.ms 20) ~expect_reset:true
+        ~crash_host:(fun map -> Shard_map.sequencer_host map 0)
+        ~expect_failover:false ())
+    [ 5; 7; 11; 23 ]
 
 (* ---------- endpoint swap mid-flight ----------
 
@@ -675,6 +725,8 @@ let suite =
         test_router_failover_on_follower_crash;
       tc "service rides out a crashed sequencer"
         test_router_failover_on_sequencer_crash;
+      tc "router rides a pipelined sequencer crash"
+        test_router_rides_pipelined_sequencer_crash;
       tc "router survives endpoint swap mid-flight"
         test_router_survives_endpoint_swap_mid_flight;
       tc "suspects carry over an endpoint swap"
