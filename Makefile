@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; see bench/README.md for the
 # benchmark suite.
 
-.PHONY: all build test bench bench-smoke chaos chaos-net chaos-sweep service batch durability fabric migration loadgen check clean
+.PHONY: all build test bench bench-smoke chaos chaos-net chaos-sweep service batch durability fabric migration migration-sweep loadgen check clean
 
 all: build
 
@@ -60,8 +60,8 @@ chaos-net:
 # line of each failing run and fails if there was one.  Extra chaos
 # flags go in SWEEP_FLAGS, e.g.
 #   make chaos-sweep SWEEP_FLAGS="--pipeline 4 --ops-per-send 3"
-SWEEP_SEEDS ?= 300
 SWEEP_FLAGS ?=
+chaos-sweep: SWEEP_SEEDS ?= 300
 chaos-sweep:
 	dune build bin/amoeba.exe
 	@fails=0; runs=0; \
@@ -119,6 +119,29 @@ fabric:
 #   dune exec bin/amoeba.exe -- migration-chaos --seed N --power-cycle
 migration:
 	dune build @migration-smoke
+
+# Mid-migration chaos sweep: SWEEP_SEEDS seeds (default 200) on each
+# of ether, switch and switch:2x3@2 with the adversarial link profile,
+# plus clean ether and switch.  The seed also picks the crash (seed
+# mod 3): none, the source sequencer or the destination head.  Prints
+# the replay line of each failing run and fails if there was one.
+migration-sweep: SWEEP_SEEDS ?= 200
+migration-sweep:
+	dune build bin/amoeba.exe
+	@fails=0; runs=0; \
+	for net in ether+adversarial switch+adversarial switch:2x3@2+adversarial \
+	    ether switch; do \
+	  for seed in $$(seq 1 $(SWEEP_SEEDS)); do \
+	    case $$((seed % 3)) in \
+	      1) crash=" --crash-source" ;; 2) crash=" --crash-dest" ;; *) crash="" ;; \
+	    esac; \
+	    args="--seed $$seed --net $$net$$crash"; \
+	    runs=$$((runs + 1)); \
+	    ./_build/default/bin/amoeba.exe migration-chaos $$args > /dev/null 2>&1 \
+	      || { echo "FAIL: amoeba migration-chaos $$args"; fails=$$((fails + 1)); }; \
+	  done; \
+	done; \
+	echo "migration-sweep: $$fails of $$runs runs failed"; [ $$fails -eq 0 ]
 
 # Loadgen smoke (also part of `dune runtest` via the loadgen-smoke
 # alias): the open-loop YCSB-style generator, a fixed-rate trial and a

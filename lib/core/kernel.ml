@@ -101,6 +101,10 @@ type reset_run = {
   r_inc : int;
   r_min : int;
   r_result : (int, error) result Ivar.t;
+  r_condemned : mid list;
+      (** members the starter already declared dead: still invited and
+          counted if they answer, but not waited for once the rest have
+          answered and a majority is in hand *)
   mutable r_await : (mid * Addr.t) list;
   mutable r_acked : (mid * Addr.t * seqno * int * seqno) list;
       (** (mid, addr, last_stable, installed incarnation, seq where
@@ -190,6 +194,9 @@ type t = {
   mutable pending_leave : (unit, error) result Ivar.t option;
   mutable heal_waiting : int option;  (** nonce of an unanswered ping *)
   mutable heal_misses : int;
+  mutable heal_heard : bool;
+      (** anything arrived from the sequencer since the first missed
+          heartbeat: it is slow, not dead *)
   mutable heal_nonce : int;
   mutable heal_frontier : seqno;
       (** sequencer-side heal: stable frontier seen at the last tick.
@@ -555,26 +562,8 @@ and deliver_control t seq c =
                })
       | None -> ());
       if mid <> t.mid then post_event t (Member_joined { seq; mid })
-  | Leave { mid } ->
+  | Leave { mid } -> (
       set_members t (List.remove_assoc mid t.members);
-      (match t.seqs with
-      | Some s ->
-          (* A departed member can no longer acknowledge: release any
-             tentative that was waiting on it, or resilient sends in
-             flight during the leave would stall forever. *)
-          let release =
-            Hashtbl.fold
-              (fun seq tent acc ->
-                if List.mem mid tent.t_wait then begin
-                  tent.t_wait <- List.filter (fun m -> m <> mid) tent.t_wait;
-                  if tent.t_wait = [] && not tent.t_accepted then seq :: acc
-                  else acc
-                end
-                else acc)
-              s.tents []
-          in
-          List.iter (fun seq -> seq_make_stable t s seq) release
-      | None -> ());
       if mid = t.mid then begin
         t.life <- Left;
         match t.pending_leave with
@@ -595,7 +584,27 @@ and deliver_control t seq c =
               if lowest = t.mid && t.seqs = None then
                 become_sequencer t ~first_seq:(seq + 1)
         end
-      end
+      end;
+      (* A departed member can no longer acknowledge: release any
+         tentative that was waiting on it, or resilient sends in flight
+         during the leave would stall forever.  Only now, with the
+         Leave's own event posted: a release delivers the sends behind
+         it. *)
+      match t.seqs with
+      | Some s when mid <> t.mid ->
+          let release =
+            Hashtbl.fold
+              (fun seq tent acc ->
+                if List.mem mid tent.t_wait then begin
+                  tent.t_wait <- List.filter (fun m -> m <> mid) tent.t_wait;
+                  if tent.t_wait = [] && not tent.t_accepted then seq :: acc
+                  else acc
+                end
+                else acc)
+              s.tents []
+          in
+          List.iter (fun seq -> seq_make_stable t s seq) release
+      | Some _ | None -> ())
   | Reset { incarnation; members } ->
       if incarnation > t.inc && not (List.mem t.mid members) then begin
         (* Replaying a reset we were not part of, whose configuration
@@ -1097,6 +1106,12 @@ and member_bb_data t ~sender ~msgid ~ops ~payload =
 
 let last_stable t = t.nxt - 1
 
+(* A heartbeat watch belongs to one configuration: pings the old
+   sequencer left unanswered must not count against the next one. *)
+let clear_heal_watch t =
+  t.heal_waiting <- None;
+  t.heal_misses <- 0
+
 (* Incarnation numbers double as recovery proposal numbers, so they
    must be unique per (era, coordinator): two members that start a
    recovery concurrently must not produce the same number, or members
@@ -1120,12 +1135,21 @@ let finish_run t run result =
      allocate a fresh option and never compare equal. *)
   match t.run with Some r when r == run -> t.run <- None | Some _ | None -> ()
 
-let rec start_reset t ~min_members ~result ~inc =
+(* The census is complete once every member has answered, or once only
+   condemned members are still silent and the answers in hand (ours
+   included) already make the run's majority. *)
+let census_complete run =
+  run.r_await = []
+  || (List.for_all (fun (m, _) -> List.mem m run.r_condemned) run.r_await
+     && 1 + List.length run.r_acked >= run.r_min)
+
+let rec start_reset ?(condemned = []) t ~min_members ~result ~inc =
   let run =
     {
       r_inc = inc;
       r_min = min_members;
       r_result = result;
+      r_condemned = condemned;
       r_await = List.filter (fun (m, _) -> m <> t.mid) t.members;
       r_acked = [];
       r_tries = 0;
@@ -1150,7 +1174,7 @@ let rec start_reset t ~min_members ~result ~inc =
   else begin
     send_invites t run;
     arm_reset_tick t run.r_seq ~after:t.cost.probe_timeout_ns;
-    if run.r_await = [] then collect_done t run
+    if census_complete run then collect_done t run
   end
 
 and send_invites t run =
@@ -1194,7 +1218,8 @@ and collect_done t run =
     if List.length survivors < run.r_min then
       (* Not enough survivors: try again from the top (the paper's
          algorithm "starts again until it succeeds or fails"). *)
-      start_reset t ~min_members:run.r_min ~result:run.r_result
+      start_reset ~condemned:run.r_condemned t ~min_members:run.r_min
+        ~result:run.r_result
         ~inc:(bump_incarnation run.r_inc ~mid:t.mid)
     else begin
       let global_max =
@@ -1242,6 +1267,7 @@ and install_new_config t run ~global_max =
   become_sequencer t ~first_seq:(global_max + 1);
   t.life <- Normal;
   t.frozen_failover <- false;
+  clear_heal_watch t;
   List.iter
     (fun (m, a) ->
       if m <> t.mid then
@@ -1350,6 +1376,7 @@ let handle_new_config t ~inc ~members ~seq_mid ~last_seq =
     t.inc_seq <- last_seq + 1;
     t.life <- Normal;
     t.frozen_failover <- false;
+    clear_heal_watch t;
     (match t.run with
     | Some run -> finish_run t run (Ok (List.length members))
     | None -> ());
@@ -1421,6 +1448,14 @@ let detect_expulsion t msg_inc =
    sequence number beyond the collected maximum.  Catch-up during
    recovery flows only through [handle_fetch_reply]. *)
 let handle_net t msg src =
+  (* Any frame from the sequencer while a ping is outstanding is proof
+     of life for the heartbeat watch. *)
+  (match t.heal_waiting with
+  | Some _ when not t.heal_heard -> (
+      match addr_of t t.seq_mid with
+      | Some a when Addr.equal a src -> t.heal_heard <- true
+      | Some _ | None -> ())
+  | Some _ | None -> ());
   match msg with
   | Wire.Data { seq; sender; msgid; inc; ops; payload; needs_accept } ->
       if t.life = Joining then begin
@@ -1476,9 +1511,7 @@ let handle_net t msg src =
       unicast t ~dst:src (Wire.Pong { nonce })
   | Wire.Pong { nonce } -> (
       match t.heal_waiting with
-      | Some n when n = nonce ->
-          t.heal_waiting <- None;
-          t.heal_misses <- 0
+      | Some n when n = nonce -> clear_heal_watch t
       | Some _ | None -> ())
   | Wire.Join_reply _ ->
       if t.life = Joining then Channel.send t.join_replies msg
@@ -1492,7 +1525,7 @@ let handle_net t msg src =
             let addr = List.assoc mid run.r_await in
             run.r_await <- List.remove_assoc mid run.r_await;
             run.r_acked <- (mid, addr, ls, cur_inc, inc_seq) :: run.r_acked;
-            if run.r_await = [] then collect_done t run
+            if census_complete run then collect_done t run
           end
       | Some _ | None -> ())
   | Wire.Fetch { from_seq; upto } ->
@@ -1561,12 +1594,20 @@ let handle_heal_tick t =
          (match t.heal_waiting with
          | Some _ ->
              t.heal_misses <- t.heal_misses + 1;
+             (* Proof of life counts from the first miss on: frames that
+                arrive before it may have left a since-crashed host. *)
+             if t.heal_misses = 1 then t.heal_heard <- false;
              if t.heal_misses > t.cost.probe_retries then begin
-               t.heal_waiting <- None;
-               t.heal_misses <- 0;
+               (* A sequencer silent since the first miss is condemned:
+                  the census need not wait for it once a majority of the
+                  others has answered.  One that was heard from is only
+                  overloaded, and the full census gives it time to
+                  answer. *)
+               let condemned = if t.heal_heard then [] else [ t.seq_mid ] in
+               clear_heal_watch t;
                let majority = (t.member_count / 2) + 1 in
-               start_reset t ~min_members:majority ~result:(Ivar.create ())
-                 ~inc:(next_incarnation t)
+               start_reset ~condemned t ~min_members:majority
+                 ~result:(Ivar.create ()) ~inc:(next_incarnation t)
              end
          | None -> ());
          if t.life = Normal then begin
@@ -1590,10 +1631,7 @@ let handle_heal_tick t =
          end
          else t.heal_misses <- 0;
          t.heal_frontier <- s.stable_frontier
-   else begin
-     t.heal_waiting <- None;
-     t.heal_misses <- 0
-   end);
+   else clear_heal_watch t);
   if t.life <> Left && t.life <> Expelled then arm_heal t
 
 let handle_reset_tick t epoch =
@@ -1618,8 +1656,8 @@ let handle_reset_tick t epoch =
               (* The holder went silent mid-fetch: start over and let a
                  fresh collect pick a live holder (bounded by the round
                  cap, like a failed collect). *)
-              start_reset t ~min_members:run.r_min ~result:run.r_result
-                ~inc:(next_incarnation t)
+              start_reset ~condemned:run.r_condemned t ~min_members:run.r_min
+                ~result:run.r_result ~inc:(next_incarnation t)
             else begin
               unicast t ~dst:holder (Wire.Fetch { from_seq = t.nxt; upto });
               arm_reset_tick t run.r_seq ~after:t.cost.probe_timeout_ns
@@ -1627,8 +1665,8 @@ let handle_reset_tick t epoch =
           end
       | Adopting ->
           (* The superseding coordinator never delivered: take over. *)
-          start_reset t ~min_members:run.r_min ~result:run.r_result
-            ~inc:(next_incarnation t))
+          start_reset ~condemned:run.r_condemned t ~min_members:run.r_min
+            ~result:run.r_result ~inc:(next_incarnation t))
   | Some _ | None -> ()
 
 let kernel_loop t () =
@@ -1770,6 +1808,7 @@ let make flip ~cfg ~gaddr =
       repair_mark = -1;
       heal_waiting = None;
       heal_misses = 0;
+      heal_heard = false;
       heal_nonce = 0;
       heal_frontier = -1;
       reset_epoch = 0;

@@ -386,6 +386,27 @@ let test_profiles_differ () =
   Alcotest.(check bool) "dup and adversarial runs differ" true
     ({ dup with Migration_chaos.o_spec = adv.Migration_chaos.o_spec } <> adv)
 
+(* Replays in which the source sequencer handed the application the
+   send behind a member's Leave before the Leave itself ("seq went 64
+   -> 63").  The first fails on a hostile switch with the old order;
+   the second fails on a clean wire once the recovery census stops
+   waiting for a dead sequencer, unless the Leave comes first. *)
+let test_leave_order_replays () =
+  List.iter
+    (fun (seed, net, crash_source) ->
+      let spec =
+        {
+          (Migration_chaos.default ~seed) with
+          Migration_chaos.mc_net = Result.get_ok (Medium.net_of_string net);
+          mc_crash_source = crash_source;
+        }
+      in
+      let o = Migration_chaos.run spec in
+      if not (Migration_chaos.ok o) then
+        Alcotest.failf "%s@.%a" (Migration_chaos.replay_line spec)
+          Migration_chaos.pp_outcome o)
+    [ (147, "switch+adversarial", false); (31, "ether", true) ]
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let rand = Random.State.make [| 0x316A7E |] in
@@ -399,6 +420,8 @@ let suite =
       QCheck_alcotest.to_alcotest ~rand prop_reassign_sequence_keeps_spreading;
       tc "chaos replay line round-trips every net" test_replay_line_round_trips;
       tc "chaos net profiles run as themselves" test_profiles_differ;
+      tc "a Leave precedes the sends it releases (replays)"
+        test_leave_order_replays;
       QCheck_alcotest.to_alcotest ~rand prop_migration_swarm;
       QCheck_alcotest.to_alcotest ~rand prop_migration_chaos_deterministic;
     ] )

@@ -9,6 +9,8 @@ open Amoeba_net
 open Amoeba_core
 open Amoeba_harness
 module T = Types
+module Flip = Amoeba_flip.Flip
+module Packet = Amoeba_flip.Packet
 
 let body = Bytes.of_string
 
@@ -291,10 +293,42 @@ let test_acker_crash_heals_without_reset () =
   Cluster.run ~until:(Time.sec 2_000) cl;
   match !failure with Some e -> raise e | None -> ()
 
+(* A receiver loop that records the Group_reset events and message
+   bodies a member delivers, in order. *)
+let record_stream cl g =
+  let acc = ref [] in
+  Cluster.spawn cl (fun () ->
+      let rec loop () =
+        (match Api.receive_from_group g with
+        | T.Message { body; _ } -> acc := Bytes.to_string body :: !acc
+        | T.Group_reset _ -> acc := "<reset>" :: !acc
+        | _ -> ());
+        loop ()
+      in
+      loop ());
+  acc
+
+(* The group message a frame from machine [src] carries, if any: drop
+   functions use it to watch or cut one kind of traffic. *)
+let group_msg_from src frame =
+  if frame.Frame.src <> src then None
+  else
+    match Flip.packet_of_frame frame with
+    | Some { Packet.body = Wire.Group m; _ } -> Some m
+    | _ -> None
+
 let test_auto_heal_recovers_without_reset_call () =
   (* auto_heal on: nobody calls ResetGroup; the members' heartbeats
-     notice the dead sequencer and rebuild the group on their own. *)
+     notice the dead sequencer and rebuild the group on their own.  The
+     census that follows the heartbeat's verdict does not wait out the
+     dead sequencer's invite: once the other survivor has answered, a
+     majority is in hand.  Detection is 4 missed 200 ms heartbeats
+     (0.8-1.0 s after the crash); a census that waited for the dead
+     sequencer added 4 more 100 ms invite rounds on top.  At the
+     default cluster seed the takeover takes 860 ms, and 1 250 ms with
+     the waiting census. *)
   let cl = Cluster.create ~n:3 () in
+  let eng = cl.Cluster.engine in
   let failure = ref None in
   Cluster.spawn cl (fun () ->
       try
@@ -306,32 +340,80 @@ let test_auto_heal_recovers_without_reset_call () =
         let g2 =
           check_ok "join" (Api.join_group (Cluster.flip cl 2) ~auto_heal:true addr)
         in
-        let acc1 = ref [] in
-        Cluster.spawn cl (fun () ->
-            let rec loop () =
-              (match Api.receive_from_group g1 with
-              | T.Message { body; _ } -> acc1 := Bytes.to_string body :: !acc1
-              | _ -> ());
-              loop ()
-            in
-            loop ());
+        let s1 = record_stream cl g1 and s2 = record_stream cl g2 in
         ignore (check_ok "warm" (Api.send_to_group g1 (body "before")));
-        Engine.sleep cl.Cluster.engine (Time.ms 100);
+        Engine.sleep eng (Time.ms 100);
+        let crashed = Engine.now eng in
         Machine.crash (Cluster.machine cl 0);
-        (* Heartbeats: 2 x probe_timeout per tick, probe_retries misses
-           -> a few seconds at most. *)
-        Engine.sleep cl.Cluster.engine (Time.sec 5);
-        Alcotest.(check bool) "someone took over sequencing" true
-          (Kernel.is_sequencer (Api.kernel g1) || Kernel.is_sequencer (Api.kernel g2));
+        let took_over () =
+          Kernel.is_sequencer (Api.kernel g1) || Kernel.is_sequencer (Api.kernel g2)
+        in
+        while (not (took_over ())) && Engine.now eng - crashed < Time.sec 5 do
+          Engine.sleep eng (Time.ms 5)
+        done;
+        Alcotest.(check bool) "someone took over sequencing" true (took_over ());
+        let takeover_ms = Time.to_ms (Engine.now eng - crashed) in
+        if takeover_ms > 1_050. then
+          Alcotest.failf "takeover took %.1f ms, over the 1 050 ms bound" takeover_ms;
         ignore (check_ok "post-heal send" (Api.send_to_group g2 (body "after")));
-        Engine.sleep cl.Cluster.engine (Time.sec 2);
-        Alcotest.(check (list string))
-          "stream intact across the self-heal"
-          [ "before"; "after" ]
-          (List.rev !acc1)
+        Engine.sleep eng (Time.sec 2);
+        List.iter
+          (fun s ->
+            Alcotest.(check (list string))
+              "one reset per survivor, stream intact across the self-heal"
+              [ "before"; "<reset>"; "after" ]
+              (List.rev !s))
+          [ s1; s2 ]
       with e -> failure := Some e);
   Cluster.run ~until:(Time.sec 60) cl;
   match !failure with Some e -> raise e | None -> ()
+
+let test_two_member_census_waits_for_paused_sequencer () =
+  (* In a 2-member group the survivor alone is no majority, so its
+     census cannot close without the member its heartbeat condemned.
+     The sequencer is paused past detection and resumes while the
+     census still invites it: its late answer must bring it into the
+     new configuration. *)
+  with_cluster 2 (fun cl ->
+      let eng = cl.Cluster.engine in
+      let g0 = Api.create_group (Cluster.flip cl 0) ~auto_heal:true () in
+      let g1 =
+        check_ok "join"
+          (Api.join_group (Cluster.flip cl 1) ~auto_heal:true (Api.group_address g0))
+      in
+      ignore (check_ok "warm" (Api.send_to_group g1 (body "w")));
+      Engine.sleep eng (Time.ms 100);
+      let inc0 = (Api.get_info_group g1).Api.incarnation in
+      (* Watch for member 1's first invite: the census has begun. *)
+      let invited = ref false in
+      Medium.set_drop_fun cl.Cluster.net
+        (Some
+           (fun frame ->
+             (match group_msg_from 1 frame with
+             | Some (Wire.Invite _) -> invited := true
+             | _ -> ());
+             false));
+      Machine.pause (Cluster.machine cl 0);
+      while not !invited do
+        Engine.sleep eng (Time.ms 5)
+      done;
+      Engine.sleep eng (Time.ms 150);
+      Machine.resume (Cluster.machine cl 0);
+      Medium.set_drop_fun cl.Cluster.net None;
+      Engine.sleep eng (Time.sec 2);
+      let info = Api.get_info_group g1 in
+      Alcotest.(check bool) "a new configuration was installed" true
+        (info.Api.incarnation > inc0);
+      Alcotest.(check (list int)) "the resumed sequencer is still a member"
+        [ 0; 1 ] info.Api.members;
+      Alcotest.(check int) "member 1's own census installed it" 1
+        info.Api.sequencer;
+      Alcotest.(check int) "it installed the same configuration"
+        info.Api.incarnation (Api.get_info_group g0).Api.incarnation;
+      ignore (check_ok "post-reset send" (Api.send_to_group g0 (body "after")));
+      Engine.sleep eng (Time.ms 300);
+      Alcotest.(check (list string)) "delivery resumes" [ "w"; "after" ]
+        (message_bodies g1))
 
 (* ----- directed regressions for two swarm-found recovery bugs -----
 
@@ -340,9 +422,6 @@ let test_auto_heal_recovers_without_reset_call () =
    machine forges kernel-to-kernel messages through its own FLIP stack
    (registering a fake coordinator address so Invite_ack replies
    resolve), which lets a test freeze a victim at will. *)
-
-module Flip = Amoeba_flip.Flip
-module Packet = Amoeba_flip.Packet
 
 (* An incarnation one era up, "coordinated" by a member id that does
    not exist; high enough to freeze era-0 kernels. *)
@@ -624,6 +703,149 @@ let pipelined_reelection_at seed =
 let test_pipelined_reelection_strands_no_send () =
   List.iter pipelined_reelection_at [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
+(* The census skips waiting only for a sequencer that stayed silent.
+   Member 1's pings are cut one way while member 2's sends keep the
+   sequencer's data flowing to it, so its heartbeat fires on a live,
+   merely unreachable sequencer.  The sequencer is then paused for
+   50 ms as the invite reaches it, so member 2 answers first: a census
+   that condemned the sequencer would close on member 2's answer and
+   expel it. *)
+let test_heard_sequencer_gets_full_census () =
+  with_cluster 3 (fun cl ->
+      let eng = cl.Cluster.engine in
+      let g0 = Api.create_group (Cluster.flip cl 0) ~auto_heal:true () in
+      let join i =
+        check_ok "join"
+          (Api.join_group (Cluster.flip cl i) ~auto_heal:true (Api.group_address g0))
+      in
+      let g1 = join 1 in
+      let g2 = join 2 in
+      ignore (check_ok "warm" (Api.send_to_group g2 (body "w")));
+      Engine.sleep eng (Time.ms 100);
+      let inc0 = (Api.get_info_group g1).Api.incarnation in
+      let census = ref false in
+      let seq_host = Cluster.machine cl 0 in
+      Medium.set_drop_fun cl.Cluster.net
+        (Some
+           (fun frame ->
+             match group_msg_from 1 frame with
+             | Some (Wire.Ping _) -> not !census
+             | Some (Wire.Invite _)
+               when frame.Frame.dest = Frame.Unicast 0 && not !census ->
+                 census := true;
+                 Machine.pause seq_host;
+                 Cluster.spawn cl (fun () ->
+                     Engine.sleep eng (Time.ms 50);
+                     Machine.resume seq_host);
+                 false
+             | _ -> false));
+      let k = ref 0 in
+      while not !census do
+        incr k;
+        ignore (Api.send_to_group g2 (body (Printf.sprintf "m%d" !k)));
+        Engine.sleep eng (Time.ms 50)
+      done;
+      Engine.sleep eng (Time.sec 1);
+      Medium.set_drop_fun cl.Cluster.net None;
+      let info = Api.get_info_group g1 in
+      Alcotest.(check bool) "member 1 recovered the group" true
+        (info.Api.incarnation > inc0);
+      Alcotest.(check (list int)) "the sequencer it heard from stays a member"
+        [ 0; 1; 2 ] info.Api.members;
+      Alcotest.(check bool) "the old sequencer is alive" true
+        (Kernel.alive (Api.kernel g0)))
+
+(* Regression: a member's heartbeat miss count outlived the
+   configuration it was counted in.  Member 1's pings to the sequencer
+   are cut one way for three heartbeats, so it has counted three misses
+   when the cut heals and member 2's ResetGroup installs a new
+   configuration under a new sequencer.  Member 1 used to count a fourth
+   miss against that live sequencer at its next tick and start a
+   recovery of its own. *)
+let test_heal_watch_restarts_with_config () =
+  with_cluster 3 (fun cl ->
+      let eng = cl.Cluster.engine in
+      let g0 = Api.create_group (Cluster.flip cl 0) ~auto_heal:true () in
+      let join i =
+        check_ok "join"
+          (Api.join_group (Cluster.flip cl i) ~auto_heal:true (Api.group_address g0))
+      in
+      let g1 = join 1 in
+      let g2 = join 2 in
+      let s1 = record_stream cl g1 in
+      ignore (check_ok "warm" (Api.send_to_group g1 (body "w")));
+      Engine.sleep eng (Time.ms 100);
+      (* Every ping member 1 sends is lost; the fourth tick after the cut
+         counts the third miss and sends the fourth ping. *)
+      let lost = ref [] in
+      Medium.set_drop_fun cl.Cluster.net
+        (Some
+           (fun frame ->
+             match group_msg_from 1 frame with
+             | Some (Wire.Ping { nonce }) ->
+                 if not (List.mem nonce !lost) then lost := nonce :: !lost;
+                 true
+             | _ -> false));
+      while List.length !lost < 4 do
+        Engine.sleep eng (Time.ms 5)
+      done;
+      Medium.set_drop_fun cl.Cluster.net None;
+      ignore (check_ok "reset by member 2" (Api.reset_group g2 ~min_members:3));
+      let inc = (Api.get_info_group g1).Api.incarnation in
+      Alcotest.(check int) "member 1 adopted the configuration"
+        (Api.get_info_group g2).Api.incarnation inc;
+      Engine.sleep eng (Time.sec 2);
+      Alcotest.(check int) "no recovery against the new sequencer" inc
+        (Api.get_info_group g1).Api.incarnation;
+      ignore (check_ok "after" (Api.send_to_group g1 (body "after")));
+      Engine.sleep eng (Time.ms 100);
+      Alcotest.(check (list string)) "one reset in member 1's stream"
+        [ "w"; "<reset>"; "after" ] (List.rev !s1))
+
+(* Regression: a sequencer delivering a Leave released the tentatives
+   that waited on the leaver's ack before posting the Leave's own
+   event, so its application read seq k+1 before the Member_left at k.
+   With r = 1 the sequencer's own sends wait on member 1; member 1's
+   acks are held back while it leaves between two such sends. *)
+let test_leave_event_precedes_released_sends () =
+  with_cluster 3 (fun cl ->
+      let eng = cl.Cluster.engine in
+      let g0 = Api.create_group (Cluster.flip cl 0) ~resilience:1 ~pipeline:4 () in
+      let join i =
+        check_ok "join"
+          (Api.join_group (Cluster.flip cl i) ~resilience:1 (Api.group_address g0))
+      in
+      let g1 = join 1 in
+      let _g2 = join 2 in
+      ignore (check_ok "warm" (Api.send_to_group g0 (body "w")));
+      Engine.sleep eng (Time.ms 100);
+      let acks_from_1 frame =
+        match group_msg_from 1 frame with Some (Wire.Ack_tent _) -> true | _ -> false
+      in
+      Medium.set_drop_fun cl.Cluster.net (Some acks_from_1);
+      let send s = Cluster.spawn cl (fun () -> ignore (Api.send_to_group g0 (body s))) in
+      send "a";
+      Engine.sleep eng (Time.ms 1);
+      Cluster.spawn cl (fun () -> ignore (Api.leave_group g1));
+      Engine.sleep eng (Time.ms 5);
+      send "b";
+      Engine.sleep eng (Time.ms 5);
+      Medium.set_drop_fun cl.Cluster.net None;
+      Engine.sleep eng (Time.sec 1);
+      let rec drain acc =
+        match Api.receive_opt g0 with
+        | None -> List.rev acc
+        | Some (T.Message { seq; body; _ }) -> drain ((seq, Bytes.to_string body) :: acc)
+        | Some (T.Member_left { seq; mid }) ->
+            drain ((seq, Printf.sprintf "left %d" mid) :: acc)
+        | Some _ -> drain acc
+      in
+      let stream = drain [] in
+      Alcotest.(check (list string)) "the Leave precedes the send it released"
+        [ "w"; "a"; "left 1"; "b" ] (List.map snd stream);
+      let seqs = List.map fst stream in
+      Alcotest.(check (list int)) "in sequence order" (List.sort compare seqs) seqs)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "recovery",
@@ -641,6 +863,8 @@ let suite =
         test_acker_crash_heals_without_reset;
       tc "auto-heal recovers without a reset call"
         test_auto_heal_recovers_without_reset_call;
+      tc "two-member census waits for a paused sequencer"
+        test_two_member_census_waits_for_paused_sequencer;
       tc "frozen member ignores old-incarnation traffic"
         test_frozen_member_ignores_old_incarnation_traffic;
       tc "frozen sequencer defers queued sends"
@@ -649,5 +873,11 @@ let suite =
         test_replaying_ex_sequencer_serves_nacks;
       tc "pipelined re-election strands no send"
         test_pipelined_reelection_strands_no_send;
+      tc "a sequencer heard from gets the full census"
+        test_heard_sequencer_gets_full_census;
+      tc "heal watch restarts with each configuration"
+        test_heal_watch_restarts_with_config;
+      tc "a Leave precedes the sends it releases"
+        test_leave_event_precedes_released_sends;
       QCheck_alcotest.to_alcotest prop_survivors_agree_after_random_crash;
     ] )
