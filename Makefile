@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; see bench/README.md for the
 # benchmark suite.
 
-.PHONY: all build test bench bench-smoke chaos chaos-net chaos-sweep service batch durability fabric migration migration-sweep loadgen check clean
+.PHONY: all build test bench bench-smoke chaos chaos-net chaos-sweep service batch durability fabric migration migration-sweep loadgen golden golden-update check clean
 
 all: build
 
@@ -21,6 +21,7 @@ check:
 	dune build @fabric-smoke
 	dune build @migration-smoke
 	dune build @loadgen-smoke
+	$(MAKE) golden
 
 build:
 	dune build
@@ -150,6 +151,19 @@ migration-sweep:
 #   dune exec bench/main.exe -- loadgen --json
 loadgen:
 	dune build @loadgen-smoke
+
+# Golden perfbench figures: runs perfbench at seeds 11 and 4242 on every
+# workload (about 4 minutes) and diffs the simulated end-to-end metrics,
+# `attempted` and `failed` against bench/perfbench_golden.json, printing
+# each differing field as workload, seed, old and new value.
+# `make golden-update` rewrites the file instead; see bench/golden.py.
+golden:
+	dune build ./perfbench/main.exe
+	python3 bench/golden.py
+
+golden-update:
+	dune build ./perfbench/main.exe
+	python3 bench/golden.py --update
 
 clean:
 	dune clean

@@ -1,4 +1,5 @@
 module Smap = Map.Make (String)
+module T = Amoeba_core.Types
 
 (* Update wire format (inside the group's 'U' frame):
      "P<uid> <klen> <key><value>"   put
@@ -110,12 +111,14 @@ type request =
   | Put of string * string
   | Del of string
 
+type refusal = Retired | Bad_request | Submit_failed of T.error
+
 type reply =
   | Value of string
   | Not_found
   | Written
   | Wrong_shard of int
-  | Busy of string
+  | Busy of refusal
 
 let request_key = function
   | Get k | Stale_get k | Del k -> k
@@ -150,12 +153,31 @@ let decode_request b =
             | _ -> None))
     | _ -> None
 
+(* A refusal travels as its text: the submit errors as [Types] prints
+   them. *)
+let refusal_text = function
+  | Retired -> "retired"
+  | Bad_request -> "bad-request"
+  | Submit_failed e -> T.error_to_string e
+
+let refusals =
+  Retired :: Bad_request
+  :: List.map
+       (fun e -> Submit_failed e)
+       T.
+         [
+           Sequencer_unreachable;
+           Not_enough_members;
+           Not_a_member;
+           Send_aborted;
+         ]
+
 let encode_reply = function
   | Value v -> Bytes.of_string ("V" ^ v)
   | Not_found -> Bytes.of_string "N"
   | Written -> Bytes.of_string "K"
   | Wrong_shard s -> Bytes.of_string (Printf.sprintf "W%d" s)
-  | Busy msg -> Bytes.of_string ("E" ^ msg)
+  | Busy r -> Bytes.of_string ("E" ^ refusal_text r)
 
 let decode_reply b =
   let s = Bytes.to_string b in
@@ -170,7 +192,9 @@ let decode_reply b =
         match int_of_string_opt (String.sub s 1 (len - 1)) with
         | Some shard -> Some (Wrong_shard shard)
         | None -> None)
-    | 'E' -> Some (Busy (String.sub s 1 (len - 1)))
+    | 'E' ->
+        List.find_opt (fun r -> "E" ^ refusal_text r = s) refusals
+        |> Option.map (fun r -> Busy r)
     | _ -> None
 
 (* Counted length-prefixed vectors, shared by batch requests ('B') and

@@ -40,18 +40,31 @@ type request =
   | Put of string * string
   | Del of string
 
+(** Why a replica refused an op.  On the wire each is its text:
+    ["retired"], ["bad-request"], or the submit error as
+    {!Amoeba_core.Types.error_to_string} prints it. *)
+type refusal =
+  | Retired  (** the shard migrated away; its new owners will serve *)
+  | Bad_request  (** the request frame did not decode *)
+  | Submit_failed of Amoeba_core.Types.error
+      (** the group refused the write; [Not_a_member] means this
+          replica was expelled and will refuse every write from now
+          on *)
+
 type reply =
   | Value of string  (** [Get] hit *)
   | Not_found  (** [Get] miss *)
   | Written  (** write sequenced and applied locally *)
   | Wrong_shard of int  (** contacted replica does not own this key *)
-  | Busy of string  (** transient failure; the router should retry *)
+  | Busy of refusal  (** refused; see {!refusal} *)
 
 val request_key : request -> string
 val encode_request : request -> bytes
 val decode_request : bytes -> request option
 val encode_reply : reply -> bytes
 val decode_reply : bytes -> reply option
+(** [None] on a malformed frame, including a refusal text outside
+    {!refusal}. *)
 
 (** {1 Batched request protocol}
 

@@ -118,158 +118,129 @@ let suspect_host ss host =
     (fun j ep -> if ep.Service.ep_host = host then ss.suspect.(j) <- true)
     ss.eps
 
-let perform t client ss req =
-  let payload = Kv.encode_request req in
-  let rec go attempt =
-    if attempt > t.attempts then Failed "attempts exhausted"
-    else begin
-      if attempt > 1 then t.s_retries <- t.s_retries + 1;
-      match pick ss with
-      | None ->
-          (* Mid-recovery: no endpoints installed yet.  Back off like
-             a [Busy] reply until [update_endpoints] lands. *)
-          backoff t 25 attempt;
-          go (attempt + 1)
-      | Some i -> (
-          (* Snapshot the arrays [i] indexes before the blocking call:
-             a power-cycle recovery may run [update_endpoints] while
-             the RPC is in flight, swapping in arrays of a different
-             length, and the post-call verdict must land on the
-             endpoint actually tried — not index out of bounds in the
-             fresh state. *)
-          let eps = ss.eps and suspect = ss.suspect in
-          let ep = eps.(i) in
-          match
-            Rpc.call client ~dst:ep.Service.ep_addr ~timeout:t.timeout
-              ~retries:1 payload
-          with
-          | Ok bytes -> (
-              suspect.(i) <- false;
-              match Kv.decode_reply bytes with
-              | Some (Kv.Value v) -> Value v
-              | Some Kv.Not_found -> Not_found
-              | Some Kv.Written -> Written
-              | Some (Kv.Wrong_shard _) ->
-                  (* Static map: can only happen on a stale/buggy peer.
-                     Re-enqueue on the shard the key really hashes to. *)
-                  t.s_redirects <- t.s_redirects + 1;
-                  let s = Shard_map.shard_of_key t.map (Kv.request_key req) in
-                  let iv = Ivar.create () in
-                  Channel.send t.shards.(s).queue (req, iv);
-                  Ivar.read t.engine iv
-              | Some (Kv.Busy _) ->
-                  (* The shard is recovering; give it a moment. *)
-                  backoff t 25 attempt;
-                  go (attempt + 1)
-              | None -> go (attempt + 1))
-          | Error `No_route ->
-              (* FLIP could not locate the endpoint.  A dead host looks
-                 like this, but so does a congested wire eating the locate
-                 probes — so step aside briefly before hammering another
-                 replica. *)
-              t.s_failovers <- t.s_failovers + 1;
-              suspect_host ss ep.Service.ep_host;
-              backoff t 5 attempt;
-              go (attempt + 1)
-          | Error `Timeout ->
-              (* Slow or dead?  Ask the failure detector, like the group
-                 kernel would.  Alive means congested — the request is
-                 probably still sitting in the replica's queue, so an
-                 immediate resend doubles its load exactly when it is
-                 drowning.  Back off before retrying; only a dead
-                 verdict fails over at once. *)
-              if Failure_detector.probe t.det ep.Service.ep_probe then begin
-                backoff t 25 attempt;
-                go (attempt + 1)
-              end
-              else begin
-                t.s_probes_dead <- t.s_probes_dead + 1;
-                t.s_failovers <- t.s_failovers + 1;
-                suspect_host ss ep.Service.ep_host;
-                go (attempt + 1)
-              end)
-    end
-  in
-  go 1
+(* The single-op frame or the batch frame, chosen once per shipment
+   and kept across its retries. *)
+type frame = Single | Batch
 
-(* One RPC carrying a whole batch of ops for this shard.  Definitive
-   per-op replies fan back to their waiters; [Wrong_shard] ops re-hash
-   and re-enqueue on the right shard; [Busy] ops and transport failures
-   retry the remaining batch {e whole} — every write in it carries a
-   fresh service-wide uid, so a replayed batch is a distinct stream
-   body and the no-duplicates invariant is untouched. *)
-let rec perform_batch t client ss items attempt =
-  match items with
-  | [] -> ()
-  | _ when attempt > t.attempts ->
-      List.iter
-        (fun (_, iv) -> ignore (Ivar.try_fill iv (Failed "attempts exhausted")))
-        items
-  | _ ->
-      if attempt > 1 then begin
-        t.s_retries <- t.s_retries + 1;
-        t.s_batch_retries <- t.s_batch_retries + 1
-      end;
-      let payload = Kv.encode_batch_request (List.map fst items) in
-      match pick ss with
-      | None ->
-          (* Mid-recovery: no endpoints yet; see [perform]. *)
-          backoff t 25 attempt;
-          perform_batch t client ss items (attempt + 1)
-      | Some i -> (
-      (* Same snapshot rule as [perform]: [update_endpoints] may swap
-         the arrays while the batch RPC is in flight. *)
+let encode frame items =
+  match (frame, items) with
+  | Single, [ (req, _) ] -> Kv.encode_request req
+  | _ -> Kv.encode_batch_request (List.map fst items)
+
+let decode frame bytes =
+  match frame with
+  | Single -> Option.map (fun rep -> [ rep ]) (Kv.decode_reply bytes)
+  | Batch -> Kv.decode_batch_reply bytes
+
+(* What one attempt ended in, for the ops it left unanswered. *)
+type outcome =
+  | No_endpoint  (* a recovery handoff left the shard none, for now *)
+  | Garbled  (* a reply that does not decode, or of the wrong length *)
+  | Refused of Service.endpoint * Kv.refusal list
+  | No_route of Service.endpoint
+  | Timed_out of Service.endpoint
+
+let fail_over t ss ep =
+  t.s_failovers <- t.s_failovers + 1;
+  suspect_host ss ep.Service.ep_host
+
+(* The retry policy, in one place: what the router does between an
+   attempt and the next.  A replica expelled from its group refuses
+   every write for good, so it is a dead endpoint; any other refusal
+   means a recovering or migrating shard, given a moment.  FLIP failing
+   to locate an endpoint looks like a dead host, but so does a
+   congested wire eating the locate probes — so step aside briefly
+   before hammering another replica.  A timeout asks the failure
+   detector, like the group kernel would: alive means congested, the
+   request probably still sits in the replica's queue and an immediate
+   resend doubles its load exactly when it is drowning, so back off;
+   only a dead verdict fails over at once. *)
+let react t ss attempt = function
+  | Garbled -> ()
+  | Refused (ep, why) when List.mem (Kv.Submit_failed Types.Not_a_member) why ->
+      fail_over t ss ep
+  | No_endpoint | Refused _ -> backoff t 25 attempt
+  | No_route ep ->
+      fail_over t ss ep;
+      backoff t 5 attempt
+  | Timed_out ep ->
+      if Failure_detector.probe t.det ep.Service.ep_probe then
+        backoff t 25 attempt
+      else begin
+        t.s_probes_dead <- t.s_probes_dead + 1;
+        fail_over t ss ep
+      end
+
+(* Fans a reply vector back to its waiters and returns the refused ops
+   with their refusals.  A [Wrong_shard] reply is final: the router
+   hashes with the same map that picked this shard, so another try
+   would land on the replica that just refused it. *)
+let settle t items replies =
+  List.filter_map
+    (fun (((_, iv) as item), rep) ->
+      let answer a =
+        ignore (Ivar.try_fill iv a);
+        None
+      in
+      match rep with
+      | Kv.Value v -> answer (Value v)
+      | Kv.Not_found -> answer Not_found
+      | Kv.Written -> answer Written
+      | Kv.Wrong_shard s ->
+          t.s_redirects <- t.s_redirects + 1;
+          answer (Failed (Printf.sprintf "wrong shard: owned by shard %d" s))
+      | Kv.Busy why -> Some (item, why))
+    (List.combine items replies)
+
+(* One try at the shard's next replica.  Returns the ops still
+   unanswered and why. *)
+let attempt_once t client ss frame items =
+  match pick ss with
+  | None -> (items, No_endpoint)
+  | Some i -> (
+      (* Snapshot the arrays [i] indexes before the blocking call: a
+         power-cycle recovery may run [update_endpoints] while the RPC is
+         in flight, swapping in arrays of a different length, and the
+         post-call verdict must land on the endpoint actually tried — not
+         index out of bounds in the fresh state. *)
       let eps = ss.eps and suspect = ss.suspect in
       let ep = eps.(i) in
       match
         Rpc.call client ~dst:ep.Service.ep_addr ~timeout:t.timeout ~retries:1
-          payload
+          (encode frame items)
       with
       | Ok bytes -> (
           suspect.(i) <- false;
-          match Kv.decode_batch_reply bytes with
+          match decode frame bytes with
           | Some replies when List.length replies = List.length items ->
-              let busy = ref [] in
-              List.iter2
-                (fun ((req, iv) as item) rep ->
-                  match rep with
-                  | Kv.Value v -> ignore (Ivar.try_fill iv (Value v))
-                  | Kv.Not_found -> ignore (Ivar.try_fill iv Not_found)
-                  | Kv.Written -> ignore (Ivar.try_fill iv Written)
-                  | Kv.Wrong_shard _ ->
-                      t.s_redirects <- t.s_redirects + 1;
-                      let s =
-                        Shard_map.shard_of_key t.map (Kv.request_key req)
-                      in
-                      Channel.send t.shards.(s).queue (req, iv)
-                  | Kv.Busy _ -> busy := item :: !busy)
-                items replies;
-              (match List.rev !busy with
-              | [] -> ()
-              | leftover ->
-                  (* The shard is recovering; give it a moment. *)
-                  backoff t 25 attempt;
-                  perform_batch t client ss leftover (attempt + 1))
-          | Some _ | None -> perform_batch t client ss items (attempt + 1))
-      | Error `No_route ->
-          t.s_failovers <- t.s_failovers + 1;
-          suspect_host ss ep.Service.ep_host;
-          backoff t 5 attempt;
-          perform_batch t client ss items (attempt + 1)
-      | Error `Timeout ->
-          (* Same congestion rule as [perform]: alive-but-slow backs
-             off instead of re-shipping the whole batch into the
-             replica's backlog. *)
-          if Failure_detector.probe t.det ep.Service.ep_probe then begin
-            backoff t 25 attempt;
-            perform_batch t client ss items (attempt + 1)
-          end
-          else begin
-            t.s_probes_dead <- t.s_probes_dead + 1;
-            t.s_failovers <- t.s_failovers + 1;
-            suspect_host ss ep.Service.ep_host;
-            perform_batch t client ss items (attempt + 1)
-          end)
+              let refused = settle t items replies in
+              (List.map fst refused, Refused (ep, List.map snd refused))
+          | Some _ | None -> (items, Garbled))
+      | Error `No_route -> (items, No_route ep)
+      | Error `Timeout -> (items, Timed_out ep))
+
+(* Performs one shipment: a lone op, a gathered batch or a transaction,
+   as (request, waiter) items.  Ops refused or lost are retried, in the
+   shipment's frame, until each has a definitive reply or [attempts]
+   ran out.  A replayed write is safe: every write carries a fresh
+   service-wide uid, so a replay is a distinct stream body and the
+   no-duplicates invariant is untouched. *)
+let rec ship t client ss frame items attempt =
+  if attempt > t.attempts then
+    List.iter
+      (fun (_, iv) -> ignore (Ivar.try_fill iv (Failed "attempts exhausted")))
+      items
+  else begin
+    if attempt > 1 then begin
+      t.s_retries <- t.s_retries + 1;
+      if frame = Batch then t.s_batch_retries <- t.s_batch_retries + 1
+    end;
+    match attempt_once t client ss frame items with
+    | [], _ -> ()
+    | left, outcome ->
+        react t ss attempt outcome;
+        ship t client ss frame left (attempt + 1)
+  end
 
 (* Nagle-style accumulation: having taken one op, keep the pipeline
    open until the batch fills or [batch_delay] expires — whichever
@@ -303,11 +274,9 @@ let gather t ss first =
 let worker t flip ss () =
   let client = Rpc.client flip in
   let rec loop () =
-    (if t.max_batch <= 1 then begin
+    (if t.max_batch <= 1 then
        (* the exact pre-batching path: no timer, no batch framing *)
-       let req, iv = Channel.recv t.engine ss.queue in
-       ignore (Ivar.try_fill iv (perform t client ss req))
-     end
+       ship t client ss Single [ Channel.recv t.engine ss.queue ] 1
      else begin
        Channel.recv t.engine ss.turn;
        let first = Channel.recv t.engine ss.queue in
@@ -317,13 +286,13 @@ let worker t flip ss () =
        Channel.send ss.turn ();
        if timed_out then t.s_partial_flushes <- t.s_partial_flushes + 1;
        match items with
-       | [ (req, iv) ] ->
+       | [ _ ] ->
            (* a lone op keeps the single-op wire frame *)
-           ignore (Ivar.try_fill iv (perform t client ss req))
+           ship t client ss Single items 1
        | items ->
            t.s_batches_sent <- t.s_batches_sent + 1;
            t.s_ops_batched <- t.s_ops_batched + List.length items;
-           perform_batch t client ss items 1
+           ship t client ss Batch items 1
      end);
     loop ()
   in
@@ -416,8 +385,8 @@ let del t k = request t (Kv.Del k)
    interleaves them) and the reads are answered after they applied
    (the committed post-image).  Bypasses the Nagle gatherer: a
    transaction must never be split across sequencer rounds nor merged
-   with a stranger's ops.  Failure handling is the batch path's —
-   whole-transaction retry with fresh-uid idempotence. *)
+   with a stranger's ops.  It is one shipment in the batch frame, even
+   for a single op, retried like any other with fresh-uid idempotence. *)
 let txn t ops =
   match ops with
   | [] -> Error "empty transaction"
@@ -450,7 +419,7 @@ let txn t ops =
                 c
           in
           let items = List.map (fun r -> (r, Ivar.create ())) reqs in
-          perform_batch t client t.shards.(s0) items 1;
+          ship t client t.shards.(s0) Batch items 1;
           Ok (List.map (fun (_, iv) -> Ivar.read t.engine iv) items))
 
 (* Swap in a fresh endpoint map — the recovery or migration handoff.

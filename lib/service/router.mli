@@ -9,12 +9,24 @@
     Requests spread round-robin over the shard's replicas (any replica
     can serve a read from its local copy or submit a write — the
     group's sequencer orders writes regardless of which member submits
-    them).  Failure handling is at-least-once with idempotent,
-    uid-tagged updates: on an RPC timeout the router probes the
-    replica's failure detector — a {e slow} replica is retried, a
-    {e dead} one is marked suspect and the request fails over to the
-    next replica.  [Busy] replies (a shard mid-recovery) back off and
-    retry; [Wrong_shard] redirects re-hash onto the right shard. *)
+    them).  A lone op, a gathered batch and a {!txn} take one path: a
+    shipment of ops retried by one policy, in the single-op frame for
+    a lone op and the batch frame otherwise.  Failure handling is
+    at-least-once with idempotent, uid-tagged updates.  What each
+    attempt's outcome makes the router do:
+    - no endpoints installed (mid-handoff), or [Busy]: back off
+      25 ms × attempt and retry;
+    - [Busy] because the replica is no longer a member of its group
+      (expelled): suspect its host and fail over at once;
+    - [No_route]: suspect the host and back off 5 ms × attempt;
+    - RPC timeout: probe the replica's failure detector — a {e slow}
+      replica gets a 25 ms × attempt back-off, a {e dead} one is
+      suspected and the request fails over at once;
+    - [Wrong_shard]: the op fails (the router's map disagrees with the
+      replica's, and another try would land on the same shard).
+
+    Back-offs carry ±25 % deterministic jitter.  Only the refused or
+    lost ops of a batch are retried. *)
 
 open Amoeba_sim
 open Amoeba_flip
@@ -53,10 +65,10 @@ val create :
     [max_batch] ops or [batch_delay] (default 500 µs, Nagle-style) has
     passed since the first — whichever fires first — and ships the lot
     as one RPC, which the replica submits as one sequencer round.  At
-    the default 1 the request path is exactly the unbatched one.  A
-    failed or timed-out batch is retried whole; the fresh uid every
-    write carries makes the replay safe (idempotent under the
-    checker's no-duplicates invariant). *)
+    the default 1 every op ships alone, in the single-op frame.  A
+    timed-out batch is retried whole, a partly refused one only its
+    refused ops; the fresh uid every write carries makes the replay
+    safe (idempotent under the checker's no-duplicates invariant). *)
 
 type reply =
   | Value of string
@@ -88,15 +100,18 @@ val txn : t -> op list -> (reply list, string) result
 type stats = {
   ops : int;  (** operations accepted *)
   retries : int;  (** extra attempts on a live replica *)
-  failovers : int;  (** switched replica after a suspected death *)
-  redirects : int;  (** [Wrong_shard] replies followed *)
+  failovers : int;
+      (** switched replica after a suspected death or an expulsion *)
+  redirects : int;  (** [Wrong_shard] replies, each failing its op *)
   probes_dead : int;  (** failure-detector verdicts of "dead" *)
   batches_sent : int;  (** multi-op RPCs shipped *)
   ops_batched : int;  (** total ops across those batches *)
   partial_flushes : int;
       (** flushes forced by the [batch_delay] timer before the batch
           filled *)
-  batch_retries : int;  (** whole-batch replays after failure or Busy *)
+  batch_retries : int;
+      (** batch-frame replays of the ops still unanswered, after a
+          failure or [Busy] *)
   stale_gets : int;  (** gets issued as bounded-staleness reads *)
   txns : int;  (** multi-key transactions accepted (ops counted in [ops]) *)
 }

@@ -113,26 +113,11 @@ let recovery_report t = t.recovery
 let shard_ops t = Array.copy t.shard_ops
 let migrations t = List.rev t.migrations
 
-let submit_write t r u =
-  match R.submit r.r_rsm u with
-  | Ok _ ->
-      t.n_writes_ok <- t.n_writes_ok + 1;
-      if t.params.p_record then begin
-        let mid = (Api.get_info_group (R.group r.r_rsm)).Api.my_mid in
-        t.completed_w.(r.r_shard) :=
-          (mid, Bytes.to_string (R.wire_of_update u))
-          :: !(t.completed_w.(r.r_shard))
-      end;
-      Kv.Written
-  | Error e ->
-      t.n_writes_busy <- t.n_writes_busy + 1;
-      Kv.Busy (T.error_to_string e)
-
 (* Submits a vector of updates as one sequencer round (one 'B' frame on
    the group stream; a single update falls back to the plain 'U' path).
    Returns the per-update reply.  The checker's durability log gets the
    exact on-stream bytes, which depend on that fallback. *)
-let submit_write_batch t r us =
+let submit_writes t r us =
   let n = List.length us in
   match R.submit_batch r.r_rsm us with
   | Ok _ ->
@@ -150,112 +135,92 @@ let submit_write_batch t r us =
       Kv.Written
   | Error e ->
       t.n_writes_busy <- t.n_writes_busy + n;
-      Kv.Busy (T.error_to_string e)
+      Kv.Busy (Kv.Submit_failed e)
 
-let handle_one t r req =
-  let s = Shard_map.shard_of_key t.map (Kv.request_key req) in
-  if s <> r.r_shard then Kv.Wrong_shard s
-  else (
-    match req with
-    | Kv.Get k ->
-        t.n_reads <- t.n_reads + 1;
-        (match Kv.Smap.find_opt k (R.state r.r_rsm) with
-        | Some v -> Kv.Value v
-        | None -> Kv.Not_found)
-    | Kv.Stale_get k ->
-        (* Bounded-staleness read: answered from the last durable
-           checkpoint when there is one — the state a power loss could
-           never take away — without touching the ordered stream.  A
-           replica that has not checkpointed yet falls back to its
-           live copy. *)
-        t.n_reads <- t.n_reads + 1;
-        let state =
-          match R.durable_snapshot r.r_rsm with
-          | Some (st, _) ->
-              let sc = Api.storage_counters (R.group r.r_rsm) in
-              sc.Api.stale_reads <- sc.Api.stale_reads + 1;
-              st
-          | None -> R.state r.r_rsm
-        in
-        (match Kv.Smap.find_opt k state with
-        | Some v -> Kv.Value v
-        | None -> Kv.Not_found)
-    | Kv.Put (k, v) ->
-        incr t.uid;
-        submit_write t r (Kv.Store.Put { uid = !(t.uid); key = k; value = v })
-    | Kv.Del k ->
-        incr t.uid;
-        submit_write t r (Kv.Store.Del { uid = !(t.uid); key = k }))
+(* A read of [k] from the local copy.  A bounded-staleness read is
+   answered from the last durable checkpoint when there is one — the
+   state a power loss could never take away — without touching the
+   ordered stream; a replica that has not checkpointed yet falls back
+   to its live copy. *)
+let read t r ~stale k =
+  t.n_reads <- t.n_reads + 1;
+  let state =
+    match R.durable_snapshot r.r_rsm with
+    | Some (st, _) when stale ->
+        let sc = Api.storage_counters (R.group r.r_rsm) in
+        sc.Api.stale_reads <- sc.Api.stale_reads + 1;
+        st
+    | _ -> R.state r.r_rsm
+  in
+  match Kv.Smap.find_opt k state with
+  | Some v -> Kv.Value v
+  | None -> Kv.Not_found
 
-(* A batch: every op is shard-checked individually, all the writes ride
-   one totally-ordered group round (fresh uids keep a retried batch
+(* Every request is served as a batch; a lone op is a batch of one.
+   Each op is shard-checked individually, all the writes ride one
+   totally-ordered group round (fresh uids keep a retried batch
    distinct on the stream), and reads are answered from the local copy
    after the batch's writes applied — so a batch reads its own writes.
    Replies are fanned back positionally, one per request. *)
 let handle_batch t r reqs =
-  let n = List.length reqs in
-  let replies = Array.make n Kv.Not_found in
-  let writes = ref [] in
-  (* newest first: (position, update) *)
-  List.iteri
-    (fun i req ->
-      let s = Shard_map.shard_of_key t.map (Kv.request_key req) in
-      if s <> r.r_shard then replies.(i) <- Kv.Wrong_shard s
+  let owner req = Shard_map.shard_of_key t.map (Kv.request_key req) in
+  let writes =
+    List.filter_map
+      (fun req ->
+        if owner req <> r.r_shard then None
+        else
+          match req with
+          | Kv.Get _ | Kv.Stale_get _ -> None
+          | Kv.Put (k, v) ->
+              incr t.uid;
+              Some (Kv.Store.Put { uid = !(t.uid); key = k; value = v })
+          | Kv.Del k ->
+              incr t.uid;
+              Some (Kv.Store.Del { uid = !(t.uid); key = k }))
+      reqs
+  in
+  let verdict = if writes = [] then Kv.Written else submit_writes t r writes in
+  List.map
+    (fun req ->
+      let s = owner req in
+      if s <> r.r_shard then Kv.Wrong_shard s
       else
         match req with
-        | Kv.Get _ | Kv.Stale_get _ -> ()
-        | Kv.Put (k, v) ->
-            incr t.uid;
-            writes :=
-              (i, Kv.Store.Put { uid = !(t.uid); key = k; value = v })
-              :: !writes
-        | Kv.Del k ->
-            incr t.uid;
-            writes := (i, Kv.Store.Del { uid = !(t.uid); key = k }) :: !writes)
-    reqs;
-  (match List.rev !writes with
-  | [] -> ()
-  | ws ->
-      let verdict = submit_write_batch t r (List.map snd ws) in
-      List.iter (fun (i, _) -> replies.(i) <- verdict) ws);
-  List.iteri
-    (fun i req ->
-      (* wrong-shard Gets already hold their Wrong_shard reply *)
-      match (req, replies.(i)) with
-      | (Kv.Get _ | Kv.Stale_get _), Kv.Not_found ->
-          replies.(i) <- handle_one t r req
-      | _ -> ())
-    reqs;
-  Array.to_list replies
+        | Kv.Get k -> read t r ~stale:false k
+        | Kv.Stale_get k -> read t r ~stale:true k
+        | Kv.Put _ | Kv.Del _ -> verdict)
+    reqs
 
-(* A retired replica (its shard was migrated away) answers [Busy] to
-   everything: the router backs off, and once the endpoint swap lands
-   its retry goes to the shard's new owners.  The uid-tagged retry
-   discipline makes the dual-routing window safe — a write the old
-   owner did sequence before retiring is acknowledged through the old
-   stream, one it refused is re-submitted fresh to the new. *)
+(* A single-op frame is served as a batch of one and answered in the
+   single-op frame.  A retired replica (its shard was migrated away)
+   answers [Busy Retired] to everything: the router backs off, and once
+   the endpoint swap lands its retry goes to the shard's new owners.
+   The uid-tagged retry discipline makes the dual-routing window safe —
+   a write the old owner did sequence before retiring is acknowledged
+   through the old stream, one it refused is re-submitted fresh to the
+   new. *)
 let handle t r payload =
-  if Bytes.length payload > 0 && Bytes.get payload 0 = 'B' then
-    let reply =
-      match Kv.decode_batch_request payload with
-      | None -> Kv.encode_reply (Kv.Busy "bad-request")
-      | Some reqs when r.r_retired ->
-          Kv.encode_batch_reply (List.map (fun _ -> Kv.Busy "retired") reqs)
-      | Some reqs ->
-          t.shard_ops.(r.r_shard) <- t.shard_ops.(r.r_shard) + List.length reqs;
-          Kv.encode_batch_reply (handle_batch t r reqs)
-    in
-    Amoeba_rpc.Types_rpc.Reply reply
-  else
-    let reply =
-      match Kv.decode_request payload with
-      | None -> Kv.Busy "bad-request"
-      | Some _ when r.r_retired -> Kv.Busy "retired"
-      | Some req ->
-          t.shard_ops.(r.r_shard) <- t.shard_ops.(r.r_shard) + 1;
-          handle_one t r req
-    in
-    Amoeba_rpc.Types_rpc.Reply (Kv.encode_reply reply)
+  let batched = Bytes.length payload > 0 && Bytes.get payload 0 = 'B' in
+  let reqs =
+    if batched then Kv.decode_batch_request payload
+    else Option.map (fun req -> [ req ]) (Kv.decode_request payload)
+  in
+  let reply =
+    match reqs with
+    | None -> Kv.encode_reply (Kv.Busy Kv.Bad_request)
+    | Some reqs ->
+        let replies =
+          if r.r_retired then List.map (fun _ -> Kv.Busy Kv.Retired) reqs
+          else begin
+            t.shard_ops.(r.r_shard) <-
+              t.shard_ops.(r.r_shard) + List.length reqs;
+            handle_batch t r reqs
+          end
+        in
+        if batched then Kv.encode_batch_reply replies
+        else Kv.encode_reply (List.hd replies)
+  in
+  Amoeba_rpc.Types_rpc.Reply reply
 
 (* One failure-detector responder per machine, shared by all the
    replicas it hosts; created lazily, inside the machine's lifecycle

@@ -18,6 +18,7 @@ let () =
       Test_harness.suite;
       Test_chaos.suite;
       Test_service.suite;
+      Test_router.suite;
       Test_durability.suite;
       Test_migration.suite;
       Test_loadgen.suite;

@@ -1,0 +1,409 @@
+(* Tests for the router's retry policy.  A scripted fake replica — an
+   RPC endpoint plus a failure-detector responder on one cluster
+   machine, reached through a hand-built [Service.endpoint] — answers
+   every op with whatever the test says, so each row of the policy
+   table (outcome -> action) is checked on its own, once for a lone op,
+   once for a gathered batch and once for a transaction.  Then the two
+   directed fixes: a [Wrong_shard] reply fails the op instead of
+   wedging the shard's pipeline, and an expelled replica is treated as
+   a dead endpoint. *)
+
+open Amoeba_sim
+open Amoeba_net
+open Amoeba_flip
+open Amoeba_core
+open Amoeba_harness
+open Amoeba_service
+module Rpc = Amoeba_rpc.Rpc
+module Types_rpc = Amoeba_rpc.Types_rpc
+module T = Types
+
+(* ---------- the scripted fake replica ---------- *)
+
+type fake = {
+  ep : Service.endpoint;
+  mutable answer : Kv.reply option;  (* every op gets it; [None]: silence *)
+  mutable singles : int;  (* single-op frames served *)
+  mutable batches : int;  (* batch frames served *)
+}
+
+let fake_replica cl host =
+  let eng = cl.Cluster.engine in
+  let iv = Ivar.create () in
+  Cluster.spawn_on cl host (fun () ->
+      let flip = Cluster.flip cl host in
+      let det = Failure_detector.create flip in
+      let addr = Flip.fresh_addr flip in
+      let f =
+        {
+          ep =
+            {
+              Service.ep_shard = 0;
+              ep_host = host;
+              ep_addr = addr;
+              ep_probe = Failure_detector.address det;
+            };
+          answer = Some Kv.Written;
+          singles = 0;
+          batches = 0;
+        }
+      in
+      let serve payload =
+        let batch = Kv.decode_batch_request payload in
+        if batch = None then f.singles <- f.singles + 1
+        else f.batches <- f.batches + 1;
+        match f.answer with
+        | None ->
+            Engine.sleep eng (Time.sec 60);
+            Types_rpc.Reply Bytes.empty
+        | Some rep ->
+            Types_rpc.Reply
+              (match batch with
+              | Some reqs ->
+                  Kv.encode_batch_reply (List.map (fun _ -> rep) reqs)
+              | None -> Kv.encode_reply rep)
+      in
+      let (_ : Rpc.server) = Rpc.serve flip ~addr serve in
+      Ivar.fill iv f);
+  Ivar.read eng iv
+
+(* ---------- the policy table ---------- *)
+
+type mode = Lone | Gathered | Txn
+
+let mode_name = function
+  | Lone -> "lone op"
+  | Gathered -> "gathered batch"
+  | Txn -> "txn"
+
+type row = {
+  name : string;
+  a : Kv.reply option;  (* what endpoint A answers; [None]: silent *)
+  b : Kv.reply option;
+  crash_a : bool;  (* A's machine crashes before the op *)
+  ok : Router.reply -> bool;  (* every op's reply must pass *)
+  retries : int;
+  failovers : int;
+  probes_dead : int;
+  redirects_per_op : int;
+  backed_off : bool option;
+      (* whether the router slept a back-off; [None] when a probe's own
+         wait hides it *)
+  suspects_a : bool;
+}
+
+let written = function Router.Written -> true | _ -> false
+
+let attempts = 3
+let timeout = Time.ms 50
+
+(* The smallest back-off the router can sleep: 25 ms × 0.75 jitter. *)
+let min_backoff = Time.us 18_750
+
+let busy e = Some (Kv.Busy (Kv.Submit_failed e))
+
+let rows =
+  let base =
+    {
+      name = "";
+      a = None;
+      b = Some Kv.Written;
+      crash_a = false;
+      ok = written;
+      retries = 1;
+      failovers = 0;
+      probes_dead = 0;
+      redirects_per_op = 0;
+      backed_off = Some false;
+      suspects_a = false;
+    }
+  in
+  [
+    {
+      base with
+      name = "busy then written";
+      a = busy T.Sequencer_unreachable;
+      backed_off = Some true;
+    };
+    {
+      base with
+      name = "not a member fails over at once";
+      a = busy T.Not_a_member;
+      failovers = 1;
+      suspects_a = true;
+    };
+    {
+      base with
+      name = "silent endpoint on a live host";
+      backed_off = Some true;
+    };
+    {
+      base with
+      name = "crashed host";
+      a = Some Kv.Written;
+      crash_a = true;
+      backed_off = None;
+      failovers = 1;
+      probes_dead = 1;
+      suspects_a = true;
+    };
+    {
+      base with
+      name = "wrong shard fails the op";
+      a = Some (Kv.Wrong_shard 1);
+      ok = (function Router.Failed _ -> true | _ -> false);
+      retries = 0;
+      redirects_per_op = 1;
+    };
+    {
+      base with
+      name = "busy forever";
+      a = Some (Kv.Busy Kv.Retired);
+      b = Some (Kv.Busy Kv.Retired);
+      ok = (fun r -> r = Router.Failed "attempts exhausted");
+      retries = attempts - 1;
+      backed_off = Some true;
+    };
+  ]
+
+(* Sends the mode's ops: one put, two concurrent puts the router
+   gathers into one batch, or a two-put transaction. *)
+let send_ops cl router = function
+  | Lone -> [ Router.put router "k0" "v" ]
+  | Gathered ->
+      let done_ch = Channel.create () in
+      List.iter
+        (fun k ->
+          Cluster.spawn cl (fun () ->
+              Channel.send done_ch (Router.put router k "v")))
+        [ "k0"; "k1" ];
+      List.init 2 (fun _ -> Channel.recv cl.Cluster.engine done_ch)
+  | Txn -> (
+      match
+        Router.txn router [ Router.Put ("k0", "v"); Router.Put ("k1", "v") ]
+      with
+      | Ok replies -> replies
+      | Error e -> Alcotest.failf "txn refused: %s" e)
+
+let run_row mode row () =
+  let cl = Cluster.create ~n:3 ~seed:5 () in
+  let eng = cl.Cluster.engine in
+  let result = ref None in
+  Cluster.spawn cl (fun () ->
+      let a = fake_replica cl 0 and b = fake_replica cl 1 in
+      (* The map puts the shard's sequencer on the router's own machine,
+         so neither fake endpoint is held in reserve. *)
+      let map = Shard_map.create ~shards:1 ~replication:1 ~hosts:[ 2 ] () in
+      let router =
+        Router.create (Cluster.flip cl 2)
+          ~max_batch:(if mode = Gathered then 32 else 1)
+          ~timeout ~attempts ~map
+          ~endpoints:[| [| a.ep; b.ep |] |]
+          ()
+      in
+      (* One put to each endpoint caches both routes and leaves the
+         rotation pointing at A again. *)
+      List.iter
+        (fun k ->
+          if not (written (Router.put router k "v")) then
+            Alcotest.fail "warm-up put failed")
+        [ "w0"; "w1" ];
+      a.answer <- row.a;
+      b.answer <- row.b;
+      if row.crash_a then Machine.crash (Cluster.machine cl 0);
+      let s0 = Router.stats router and t0 = Engine.now eng in
+      let frames () = (a.singles + b.singles, a.batches + b.batches) in
+      let singles0, batches0 = frames () in
+      let replies = send_ops cl router mode in
+      let s1 = Router.stats router in
+      let singles1, batches1 = frames () in
+      result :=
+        Some
+          ( replies,
+            Engine.now eng - t0,
+            s0,
+            s1,
+            (singles1 - singles0, batches1 - batches0),
+            Router.suspected router 0 ));
+  Cluster.run ~until:(Time.sec 30) cl;
+  match !result with
+  | None -> Alcotest.failf "%s: the ops never returned" (mode_name mode)
+  | Some (replies, elapsed, s0, s1, (singles, batches), suspected) ->
+      let n = List.length replies in
+      let chk what = Alcotest.(check int) (mode_name mode ^ ": " ^ what) in
+      List.iter
+        (fun r ->
+          if not (row.ok r) then
+            Alcotest.failf "%s: unexpected reply %s" (mode_name mode)
+              (match r with
+              | Router.Failed m -> "Failed " ^ m
+              | Router.Written -> "Written"
+              | Router.Value _ -> "Value"
+              | Router.Not_found -> "Not_found"))
+        replies;
+      chk "retries" row.retries (s1.Router.retries - s0.Router.retries);
+      chk "failovers" row.failovers (s1.Router.failovers - s0.Router.failovers);
+      chk "probes_dead" row.probes_dead
+        (s1.Router.probes_dead - s0.Router.probes_dead);
+      chk "redirects" (n * row.redirects_per_op)
+        (s1.Router.redirects - s0.Router.redirects);
+      if mode = Gathered then
+        chk "one batch" 1 (s1.Router.batches_sent - s0.Router.batches_sent);
+      (* The frame is chosen once per shipment and kept across its
+         retries; the fakes count every frame that reached them. *)
+      if mode = Lone then chk "batch frames" 0 batches
+      else chk "single-op frames" 0 singles;
+      chk "frames that reached a replica"
+        (row.retries + 1 - if row.crash_a then 1 else 0)
+        (singles + batches);
+      Option.iter
+        (fun b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: backed off (%.1f ms)" (mode_name mode)
+               (Time.to_ms elapsed))
+            b (elapsed >= min_backoff))
+        row.backed_off;
+      Alcotest.(check (list int))
+        (mode_name mode ^ ": suspected")
+        (if row.suspects_a then [ 0 ] else [])
+        suspected
+
+(* ---------- Wrong_shard cannot wedge a shard's pipeline ---------- *)
+
+(* A router whose endpoint map has the two shards swapped sends a
+   shard-0 key to shard 1's replicas, which answer [Wrong_shard 0].
+   Re-hashing with the router's own map would re-queue the op onto the
+   shard that just refused it, and the waiting workers would block on
+   it forever; the op must fail instead, naming the shard. *)
+let test_wrong_shard_fails_fast () =
+  List.iter
+    (fun (max_batch, as_txn) ->
+      let cl = Cluster.create ~n:5 ~seed:3 () in
+      let result = ref None in
+      Cluster.spawn cl (fun () ->
+          let map =
+            Shard_map.create ~shards:2 ~replication:2 ~hosts:[ 0; 1; 2; 3 ] ()
+          in
+          let svc = Service.deploy cl ~map ~resilience:0 () in
+          let eps = Service.endpoints svc in
+          let router =
+            Router.create (Cluster.flip cl 4) ~max_batch ~map
+              ~endpoints:[| eps.(1); eps.(0) |]
+              ()
+          in
+          let key =
+            List.find
+              (fun k -> Shard_map.shard_of_key map k = 0)
+              (List.init 100 (fun i -> "k" ^ string_of_int i))
+          in
+          result :=
+            Some
+              (if as_txn then
+                 match Router.txn router [ Router.Put (key, "v") ] with
+                 | Ok [ r ] -> r
+                 | _ -> Alcotest.fail "txn refused"
+               else Router.put router key "v"));
+      Cluster.run ~until:(Time.sec 10) cl;
+      let what =
+        Printf.sprintf "max_batch %d%s" max_batch
+          (if as_txn then " txn" else "")
+      in
+      match !result with
+      | Some (Router.Failed m) ->
+          Alcotest.(check bool)
+            (what ^ ": names the owning shard") true
+            (String.ends_with ~suffix:"shard 0" m)
+      | Some _ -> Alcotest.failf "%s: a misrouted put succeeded" what
+      | None -> Alcotest.failf "%s: the put never returned" what)
+    [ (1, false); (32, false); (1, true) ]
+
+(* ---------- an expelled replica is a dead endpoint ----------
+
+   At resilience 2 every write waits for both followers' acks, so a
+   follower whose CPU is paused stalls the shard until the sequencer's
+   heartbeat starts a recovery that expels it.  Resumed, it is alive
+   but no longer a member, and refuses every write.  The router must
+   take that refusal as a dead endpoint: suspect the host and fail over
+   at once, without backing off on a replica that will never serve. *)
+let test_expelled_replica_is_dead () =
+  let cl = Cluster.create ~n:4 ~seed:7 () in
+  let eng = cl.Cluster.engine in
+  let done_ = ref false in
+  Cluster.spawn cl (fun () ->
+      let map =
+        Shard_map.create ~shards:1 ~replication:3 ~hosts:[ 0; 1; 2 ] ()
+      in
+      let svc = Service.deploy cl ~map ~resilience:2 () in
+      let on h =
+        List.filter
+          (fun ep -> ep.Service.ep_host = h)
+          (Array.to_list (Service.endpoints svc).(0))
+      in
+      let puts router prefix n =
+        for i = 1 to n do
+          match Router.put router (prefix ^ string_of_int i) "v" with
+          | Router.Written -> ()
+          | _ -> Alcotest.failf "put %s%d failed" prefix i
+        done
+      in
+      (* Writes through the other follower only, while host 1 is
+         paused, so the router under test has no history with it. *)
+      let pinned =
+        Router.create (Cluster.flip cl 3) ~map
+          ~endpoints:[| Array.of_list (on 2) |]
+          ()
+      in
+      Machine.pause (Cluster.machine cl 1);
+      puts pinned "p" 10;
+      Machine.resume (Cluster.machine cl 1);
+      Engine.sleep eng (Time.sec 3);
+      let c = Rpc.client (Cluster.flip cl 3) in
+      (match
+         Rpc.call c ~dst:(List.hd (on 1)).Service.ep_addr
+           (Kv.encode_request (Kv.Put ("probe", "v")))
+       with
+      | Ok b
+        when Kv.decode_reply b
+             = Some (Kv.Busy (Kv.Submit_failed T.Not_a_member)) ->
+          ()
+      | _ -> Alcotest.fail "the paused follower was not expelled");
+      (* Host 0 holds the sequencer and is kept in reserve, so the
+         rotation starts on host 1. *)
+      let router =
+        Router.create (Cluster.flip cl 3) ~map
+          ~endpoints:(Service.endpoints svc) ()
+      in
+      let t0 = Engine.now eng in
+      puts router "a" 1;
+      let first = Engine.now eng - t0 in
+      puts router "b" 10;
+      let st = Router.stats router in
+      Alcotest.(check bool)
+        (Printf.sprintf "no back-off on the expelled replica (%.1f ms)"
+           (Time.to_ms first))
+        true (first < min_backoff);
+      Alcotest.(check int) "one failover" 1 st.Router.failovers;
+      Alcotest.(check int) "one retry" 1 st.Router.retries;
+      Alcotest.(check (list int)) "expelled host suspected" [ 1 ]
+        (Router.suspected router 0);
+      done_ := true);
+  Cluster.run ~until:(Time.sec 30) cl;
+  Alcotest.(check bool) "scenario finished" true !done_
+
+let suite =
+  let tc name f = Alcotest.test_case name `Quick f in
+  ( "router",
+    List.concat_map
+      (fun row ->
+        List.map
+          (fun mode ->
+            tc (Printf.sprintf "policy: %s (%s)" row.name (mode_name mode))
+              (run_row mode row))
+          [ Lone; Gathered; Txn ])
+      rows
+    @ [
+        tc "wrong shard fails fast" test_wrong_shard_fails_fast;
+        tc "an expelled replica is a dead endpoint"
+          test_expelled_replica_is_dead;
+      ] )
+

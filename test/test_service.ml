@@ -50,6 +50,19 @@ let test_shard_map_deterministic_and_covering () =
 
 (* ---------- codecs ---------- *)
 
+(* Every refusal a replica can send. *)
+let all_busy =
+  List.map
+    (fun r -> Kv.Busy r)
+    [
+      Kv.Retired;
+      Kv.Bad_request;
+      Kv.Submit_failed T.Sequencer_unreachable;
+      Kv.Submit_failed T.Not_enough_members;
+      Kv.Submit_failed T.Not_a_member;
+      Kv.Submit_failed T.Send_aborted;
+    ]
+
 let test_kv_codecs () =
   let module S = Kv.Store in
   let ups =
@@ -82,14 +95,30 @@ let test_kv_codecs () =
         (Kv.decode_request (Kv.encode_request r) = Some r))
     reqs;
   let reps =
-    [ Kv.Value "x y"; Kv.Not_found; Kv.Written; Kv.Wrong_shard 3; Kv.Busy "no" ]
+    [ Kv.Value "x y"; Kv.Not_found; Kv.Written; Kv.Wrong_shard 3 ] @ all_busy
   in
   List.iter
     (fun r ->
       Alcotest.(check bool)
         "reply roundtrip" true
         (Kv.decode_reply (Kv.encode_reply r) = Some r))
-    reps
+    reps;
+  (* Each refusal keeps the exact text it has always sent, and a text
+     outside the set is a malformed reply, not a guess. *)
+  Alcotest.(check (list string))
+    "refusal texts"
+    [
+      "Eretired";
+      "Ebad-request";
+      "Esequencer unreachable";
+      "Enot enough members";
+      "Enot a member";
+      "Esend aborted by recovery";
+    ]
+    (List.map (fun r -> Bytes.to_string (Kv.encode_reply r)) all_busy);
+  Alcotest.(check bool)
+    "unknown refusal rejected" true
+    (Kv.decode_reply (Bytes.of_string "Eno") = None)
 
 let test_kv_batch_codecs () =
   let reqs =
@@ -108,7 +137,7 @@ let test_kv_batch_codecs () =
   let reps =
     [
       [ Kv.Written ];
-      [ Kv.Value "x y"; Kv.Not_found; Kv.Wrong_shard 3; Kv.Busy "no" ];
+      [ Kv.Value "x y"; Kv.Not_found; Kv.Wrong_shard 3 ] @ all_busy;
     ]
   in
   List.iter
