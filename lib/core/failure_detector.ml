@@ -102,3 +102,32 @@ let probe_many t ?retries ?timeout targets =
 let probes_answered t = t.answered
 
 let stop t = t.answering <- false
+
+type estimator = {
+  floor : Time.t;
+  cap : Time.t;
+  last : Time.t;  (** latest arrival; -1 = none yet *)
+  avg : Time.t;  (** smoothed gap, starting from the cap *)
+  dev : Time.t;  (** mean deviation of the gap *)
+}
+
+let estimator ~floor ~cap = { floor; cap; last = -1; avg = cap; dev = 0 }
+
+let heard e now =
+  if e.last < 0 then { e with last = now }
+  else
+    let err = now - e.last - e.avg in
+    {
+      e with
+      last = now;
+      avg = e.avg + (err / 8);
+      dev = e.dev + ((abs err - e.dev) / 4);
+    }
+
+let forget e = estimator ~floor:e.floor ~cap:e.cap
+let period e = max e.floor (min e.cap (e.avg + (4 * e.dev)))
+let silent e now = e.last < 0 || now - e.last >= period e
+
+let wait e now =
+  let p = period e in
+  if silent e now then p else e.last + p - now

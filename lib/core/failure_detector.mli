@@ -39,3 +39,40 @@ val probes_answered : t -> int
 
 val stop : t -> unit
 (** Stops answering (makes this endpoint look dead). *)
+
+(** {1 Timeouts learned from traffic}
+
+    How long a silence means anything depends on the peer: a sequencer
+    that multicasts every 2 ms is suspicious after 15 ms of quiet, an
+    idle one is not after 100.  The estimator learns that from the
+    arrival times of the frames a member already receives, the way
+    Jacobson's TCP estimator learns a retransmission timeout from
+    round-trip samples. *)
+
+type estimator
+(** A pure value: feeding it returns a new one. *)
+
+val estimator : floor:Amoeba_sim.Time.t -> cap:Amoeba_sim.Time.t -> estimator
+(** Nothing heard yet: the smoothed gap starts at [cap], so only
+    sustained traffic talks the period down — a burst of a few frames
+    (a recovery's own traffic, say) cannot. *)
+
+val heard : estimator -> Amoeba_sim.Time.t -> estimator
+(** [heard e now] feeds the arrival time of one frame from the peer.
+    Each gap since the previous arrival updates the smoothed gap (gain
+    1/8) and its mean deviation (gain 1/4). *)
+
+val forget : estimator -> estimator
+(** Back to nothing heard, keeping the bounds: for a new peer. *)
+
+val period : estimator -> Amoeba_sim.Time.t
+(** [smoothed gap + 4 × deviation], clamped to [[floor, cap]]: how long
+    the peer may stay silent before that is news. *)
+
+val silent : estimator -> Amoeba_sim.Time.t -> bool
+(** [silent e now]: nothing heard from the peer for a full period
+    before [now] (or ever). *)
+
+val wait : estimator -> Amoeba_sim.Time.t -> Amoeba_sim.Time.t
+(** How long after [now] to look again: until the peer will have been
+    silent for a full period, or a full period if it already has. *)

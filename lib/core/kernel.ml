@@ -90,6 +90,9 @@ type seq_state = {
   mutable soliciting : bool;
   mutable next_mid : mid;
   mutable pending_joins : (Addr.t * mid) list;  (** sequenced, undelivered *)
+  mutable left : bool;
+      (** our own Leave is sequenced: every seq after it is the
+          successor's to assign *)
 }
 
 type reset_phase =
@@ -192,12 +195,10 @@ type t = {
       (** a frozen-grace timeout already escalated to a recovery run of
           our own; the next timeout makes the expulsion final *)
   mutable pending_leave : (unit, error) result Ivar.t option;
-  mutable heal_waiting : int option;  (** nonce of an unanswered ping *)
-  mutable heal_misses : int;
-  mutable heal_heard : bool;
-      (** anything arrived from the sequencer since the first missed
-          heartbeat: it is slow, not dead *)
-  mutable heal_nonce : int;
+  mutable heal_misses : int;  (** unanswered pings (or stalled heartbeats) in a row *)
+  mutable heal_est : Failure_detector.estimator;
+      (** the sequencer's traffic: the heartbeat period, and when it was
+          last heard *)
   mutable heal_frontier : seqno;
       (** sequencer-side heal: stable frontier seen at the last tick.
           Tentatives stuck awaiting accepts while this stands still
@@ -411,11 +412,20 @@ let arm_leave_retry t ~tries =
        ~after:(timer_jitter t t.cost.retrans_timeout_ns)
        (fun () -> Channel.send t.inbox (Leave_tick tries)))
 
+(* A heartbeat watch belongs to one sequencer: pings the old one left
+   unanswered must not count against the next one, and its traffic says
+   nothing about the next one's. *)
+let clear_heal_watch t =
+  t.heal_misses <- 0;
+  t.heal_est <- Failure_detector.forget t.heal_est
+
 let arm_heal t =
   if t.cfg.auto_heal then
     ignore
       (Engine.schedule ~group:t.k_group t.engine
-         ~after:(timer_jitter t (2 * t.cost.probe_timeout_ns))
+         ~after:
+           (timer_jitter t
+              (Failure_detector.wait t.heal_est (Engine.now t.engine)))
          (fun () -> Channel.send t.inbox Heal_tick))
 
 let arm_reset_tick t epoch ~after =
@@ -475,6 +485,7 @@ let rec become_sequencer t ~first_seq =
       soliciting = false;
       next_mid;
       pending_joins = [];
+      left = false;
     }
   in
   (* Request dedup starts from what we delivered as a member: a sender
@@ -566,6 +577,14 @@ and deliver_control t seq c =
       set_members t (List.remove_assoc mid t.members);
       if mid = t.mid then begin
         t.life <- Left;
+        (* A recovery we coordinate can replay our own Leave from the
+           fetched stream: we have left, so the run is void, and the
+           others recover without us. *)
+        (match t.run with
+        | Some run ->
+            ignore (Ivar.try_fill run.r_result (Error Not_a_member));
+            t.run <- None
+        | None -> ());
         match t.pending_leave with
         | Some iv ->
             t.pending_leave <- None;
@@ -581,6 +600,7 @@ and deliver_control t seq c =
           | [] -> ()
           | lowest :: _ ->
               t.seq_mid <- lowest;
+              clear_heal_watch t;
               if lowest = t.mid && t.seqs = None then
                 become_sequencer t ~first_seq:(seq + 1)
         end
@@ -841,6 +861,12 @@ and seq_admit ~via_bb ~ops t s ~sender ~msgid payload =
           (List.exists is_it (History.range h ~lo:(History.lo h) ~hi:(History.hi h))
           || Hashtbl.fold (fun _ tn held -> held || is_it tn.t_entry) s.tents false)
       then t.st.stale_refused <- t.st.stale_refused + 1
+  | () when s.left ->
+      (* Our Leave may still wait behind unacknowledged tentatives, but
+         the successor takes over right after it: a seq assigned here
+         would be assigned twice.  The sender resubmits to the
+         successor. *)
+      ()
   | () ->
       if not (seq_space_available t s) then begin
         (* History full: park the request and solicit member status
@@ -856,6 +882,9 @@ and seq_admit ~via_bb ~ops t s ~sender ~msgid payload =
       else begin
         let seq = s.next_seq in
         s.next_seq <- seq + 1;
+        (match payload with
+        | Ctrl (Leave { mid }) when mid = t.mid -> s.left <- true
+        | User _ | Ctrl _ -> ());
         dedup_set s sender ~msgid ~seq;
         let needs_accept =
           (match payload with User _ -> true | Ctrl _ -> false)
@@ -1106,12 +1135,6 @@ and member_bb_data t ~sender ~msgid ~ops ~payload =
 
 let last_stable t = t.nxt - 1
 
-(* A heartbeat watch belongs to one configuration: pings the old
-   sequencer left unanswered must not count against the next one. *)
-let clear_heal_watch t =
-  t.heal_waiting <- None;
-  t.heal_misses <- 0
-
 (* Incarnation numbers double as recovery proposal numbers, so they
    must be unique per (era, coordinator): two members that start a
    recovery concurrently must not produce the same number, or members
@@ -1135,6 +1158,15 @@ let finish_run t run result =
      allocate a fresh option and never compare equal. *)
   match t.run with Some r when r == run -> t.run <- None | Some _ | None -> ()
 
+(* Our own stream is a fork, or can never catch up: the paper's answer
+   is expulsion, not merging divergent histories. *)
+let expel_self t run =
+  t.life <- Expelled;
+  t.frozen_inc <- max t.frozen_inc run.r_inc;
+  post_event t Expelled;
+  finish_run t run (Error Not_enough_members);
+  abort_inflight t
+
 (* The census is complete once every member has answered, or once only
    condemned members are still silent and the answers in hand (ours
    included) already make the run's majority. *)
@@ -1142,6 +1174,22 @@ let census_complete run =
   run.r_await = []
   || (List.for_all (fun (m, _) -> List.mem m run.r_condemned) run.r_await
      && 1 + List.length run.r_acked >= run.r_min)
+
+(* The newest incarnation any survivor has installed, and the seq its
+   stream starts at. *)
+let newest_start t run =
+  List.fold_left
+    (fun (bi, bs) (_, _, _, ci, cs) -> if ci > bi then (ci, cs) else (bi, bs))
+    (t.inc, t.inc_seq) run.r_acked
+
+(* A coordinator on an older incarnation than a survivor missed a
+   configuration, and may have delivered past that configuration's start
+   in its own (a paused sequencer resumed onto a request backlog, say).
+   The survivors' starts need not show it: each names only its newest.
+   So it fetches from the start of its own incarnation, and the overlap
+   shows whether its stream forked (see [handle_fetch_reply]). *)
+let fetch_from t run =
+  if fst (newest_start t run) > t.inc then min t.nxt t.inc_seq else t.nxt
 
 let rec start_reset ?(condemned = []) t ~min_members ~result ~inc =
   let run =
@@ -1185,70 +1233,80 @@ and send_invites t run =
     run.r_await
 
 and collect_done t run =
-  let survivors =
-    (t.mid, t.kaddr, last_stable t, t.inc, t.inc_seq) :: run.r_acked
-  in
   (* The authoritative position is the newest incarnation any survivor
-     has installed.  Bare sequence numbers from older incarnations are
-     comparable only below the point where that incarnation re-assigned
-     them: anyone who kept delivering at or past it (a paused sequencer
-     resumed onto a request backlog, say) holds a forked history that
-     no fetch can undo. *)
-  let best_inc, best_start =
-    List.fold_left
-      (fun (bi, bs) (_, _, _, ci, cs) -> if ci > bi then (ci, cs) else (bi, bs))
-      (t.inc, t.inc_seq) survivors
-  in
-  let clean (_, _, ls, ci, _) = ci = best_inc || ls < best_start in
-  if best_inc > t.inc && last_stable t >= best_start then begin
-    (* Our own stream is the fork: the paper's answer is expulsion,
-       not merging divergent histories. *)
-    t.life <- Expelled;
-    t.frozen_inc <- max t.frozen_inc run.r_inc;
-    post_event t Expelled;
-    finish_run t run (Error Not_enough_members);
-    abort_inflight t
-  end
-  else begin
-    (* Divergent ackers must not come along: left out of the new
-       configuration, their own recovery attempt will diagnose the
-       fork and expel them. *)
-    run.r_acked <- List.filter clean run.r_acked;
-    let survivors = List.filter clean survivors in
-    if List.length survivors < run.r_min then
-      (* Not enough survivors: try again from the top (the paper's
-         algorithm "starts again until it succeeds or fails"). *)
-      start_reset ~condemned:run.r_condemned t ~min_members:run.r_min
-        ~result:run.r_result
-        ~inc:(bump_incarnation run.r_inc ~mid:t.mid)
+     has installed. *)
+  let best_inc, best_start = newest_start t run in
+  if best_inc > t.inc && last_stable t >= best_start then expel_self t run
+  else if quorum_without_forks t run then begin
+    let survivors =
+      (t.mid, t.kaddr, last_stable t, t.inc, t.inc_seq) :: run.r_acked
+    in
+    let global_max =
+      List.fold_left (fun acc (_, _, s, _, _) -> max acc s) (-1) survivors
+    in
+    if last_stable t >= global_max then install t run ~global_max
     else begin
-      let global_max =
-        List.fold_left (fun acc (_, _, s, _, _) -> max acc s) (-1) survivors
+      let holder =
+        List.find_map
+          (fun (m, a, s, _, _) ->
+            if s = global_max && m <> t.mid then Some a else None)
+          survivors
       in
-      if last_stable t >= global_max then install_new_config t run ~global_max
-      else begin
-        let holder =
-          List.find_map
-            (fun (m, a, s, _, _) ->
-              if s = global_max && m <> t.mid then Some a else None)
-            survivors
-        in
-        match holder with
-        | None -> install_new_config t run ~global_max:(last_stable t)
-        | Some holder ->
-            run.r_phase <- Fetching { holder; upto = global_max };
-            run.r_tries <- 0;
-            (* Invalidate any still-pending collect ticks. *)
-            t.reset_epoch <- t.reset_epoch + 1;
-            run.r_seq <- t.reset_epoch;
-            unicast t ~dst:holder
-              (Wire.Fetch { from_seq = t.nxt; upto = global_max });
-            arm_reset_tick t run.r_seq ~after:t.cost.probe_timeout_ns
-      end
+      match holder with
+      | None -> install t run ~global_max:(last_stable t)
+      | Some holder ->
+          run.r_phase <- Fetching { holder; upto = global_max };
+          run.r_tries <- 0;
+          (* Invalidate any still-pending collect ticks. *)
+          t.reset_epoch <- t.reset_epoch + 1;
+          run.r_seq <- t.reset_epoch;
+          unicast t ~dst:holder
+            (Wire.Fetch { from_seq = fetch_from t run; upto = global_max });
+          arm_reset_tick t run.r_seq ~after:t.cost.probe_timeout_ns
     end
   end
 
-and install_new_config t run ~global_max =
+(* Divergent ackers must not come along: left out of the new
+   configuration, their own recovery attempt will diagnose the fork and
+   expel them.  Bare sequence numbers from older incarnations are
+   comparable only below the point where a newer one re-assigned them:
+   an acker on an older incarnation that delivered at or past the start
+   of a newer one (a paused sequencer resumed onto a request backlog,
+   say) holds a forked history no fetch can undo.  Each ack names only
+   the acker's newest incarnation, so the newest start any survivor
+   reports is one such start and every Reset in our own stream, fetched
+   ones included, is another.  Returns false, having restarted the run
+   from the top (the paper's algorithm "starts again until it succeeds
+   or fails"), if too few survivors are left. *)
+and quorum_without_forks t run =
+  let starts =
+    newest_start t run
+    :: List.filter_map
+         (fun (e : History.entry) ->
+           match e.payload with
+           | Ctrl (Reset { incarnation; _ }) -> Some (incarnation, e.seq)
+           | User _ | Ctrl _ -> None)
+         (History.range t.history ~lo:(History.lo t.history)
+            ~hi:(History.hi t.history))
+  in
+  run.r_acked <-
+    List.filter
+      (fun (_, _, ls, ci, _) ->
+        not (List.exists (fun (inc, seq) -> inc > ci && seq <= ls) starts))
+      run.r_acked;
+  if 1 + List.length run.r_acked >= run.r_min then true
+  else begin
+    start_reset ~condemned:run.r_condemned t ~min_members:run.r_min
+      ~result:run.r_result
+      ~inc:(bump_incarnation run.r_inc ~mid:t.mid);
+    false
+  end
+
+(* A fetch can bring in Resets that show more ackers forked. *)
+and install_fetched t run ~global_max =
+  if quorum_without_forks t run then install t run ~global_max
+
+and install t run ~global_max =
   t.inc <- run.r_inc;
   t.frozen_inc <- run.r_inc;
   t.st.resets_survived <- t.st.resets_survived + 1;
@@ -1387,35 +1445,44 @@ let handle_new_config t ~inc ~members ~seq_mid ~last_seq =
     List.iter (fun p -> submit_send t p) t.inflight
   end
 
+(* A fetched entry at a seq we delivered already — the overlap
+   [fetch_from] asks for — that is not the message we delivered there. *)
+let forks_from t (e : History.entry) =
+  e.seq < t.nxt
+  &&
+  match History.find t.history e.seq with
+  | Some o -> o.sender <> e.sender || o.msgid <> e.msgid
+  | None -> false
+
 let handle_fetch_reply t entries =
-  (* Catch-up: replay the fetched stream through the normal delivery
-     machinery so control messages take effect too. *)
-  List.iter
-    (fun (e : History.entry) ->
-      member_data ~count:false ~ops:e.ops t ~seq:e.seq ~sender:e.sender
-        ~msgid:e.msgid ~payload:e.payload ~needs_accept:false)
-    entries;
   match t.run with
-  | Some ({ r_phase = Fetching { upto; _ }; _ } as run) ->
-      if last_stable t >= upto then install_new_config t run ~global_max:upto
-      else if
-        match entries with
-        | [] -> true
-        | e :: _ -> e.History.seq > t.nxt
-      then begin
-        (* The holder's history starts past our position.  Histories
-           are pruned only once every member of the configuration has
-           acknowledged, so the stream can run out from under us only
-           if we were not in that configuration: we were dropped, and
-           our identity can never catch up.  Give up and report the
-           expulsion rather than re-fetch forever. *)
-        t.life <- Expelled;
-        t.frozen_inc <- max t.frozen_inc run.r_inc;
-        post_event t Expelled;
-        finish_run t run (Error Not_enough_members);
-        abort_inflight t
-      end
-  | Some _ | None -> ()
+  | Some ({ r_phase = Fetching _; _ } as run)
+    when List.exists (forks_from t) entries ->
+      expel_self t run
+  | Some _ | None -> (
+      (* Catch-up: replay the fetched stream through the normal delivery
+         machinery so control messages take effect too. *)
+      List.iter
+        (fun (e : History.entry) ->
+          member_data ~count:false ~ops:e.ops t ~seq:e.seq ~sender:e.sender
+            ~msgid:e.msgid ~payload:e.payload ~needs_accept:false)
+        entries;
+      match t.run with
+      | Some ({ r_phase = Fetching { upto; _ }; _ } as run) ->
+          if last_stable t >= upto then install_fetched t run ~global_max:upto
+          else if
+            match entries with
+            | [] -> true
+            | e :: _ -> e.History.seq > t.nxt
+          then
+            (* The holder's history starts past our position.  Histories
+               are pruned only once every member of the configuration
+               has acknowledged, so the stream can run out from under us
+               only if we were not in that configuration: we were
+               dropped, and our identity can never catch up.  Give up
+               and report the expulsion rather than re-fetch forever. *)
+            expel_self t run
+      | Some _ | None -> ())
 
 (* ----- incarnation filtering ----- *)
 
@@ -1448,14 +1515,16 @@ let detect_expulsion t msg_inc =
    sequence number beyond the collected maximum.  Catch-up during
    recovery flows only through [handle_fetch_reply]. *)
 let handle_net t msg src =
-  (* Any frame from the sequencer while a ping is outstanding is proof
-     of life for the heartbeat watch. *)
-  (match t.heal_waiting with
-  | Some _ when not t.heal_heard -> (
-      match addr_of t t.seq_mid with
-      | Some a when Addr.equal a src -> t.heal_heard <- true
-      | Some _ | None -> ())
-  | Some _ | None -> ());
+  (* A member's every frame from the sequencer, pongs included, is proof
+     of life and a sample for the heartbeat period (the sequencer's own
+     watch keeps the cap). *)
+  if
+    t.cfg.auto_heal && t.seqs = None
+    && Option.equal Addr.equal (addr_of t t.seq_mid) (Some src)
+  then begin
+    t.heal_est <- Failure_detector.heard t.heal_est (Engine.now t.engine);
+    t.heal_misses <- 0
+  end;
   match msg with
   | Wire.Data { seq; sender; msgid; inc; ops; payload; needs_accept } ->
       if t.life = Joining then begin
@@ -1509,10 +1578,7 @@ let handle_net t msg src =
   | Wire.Ping { nonce } ->
       charge t t.cost.group_deliver_ns;
       unicast t ~dst:src (Wire.Pong { nonce })
-  | Wire.Pong { nonce } -> (
-      match t.heal_waiting with
-      | Some n when n = nonce -> clear_heal_watch t
-      | Some _ | None -> ())
+  | Wire.Pong _ -> ()
   | Wire.Join_reply _ ->
       if t.life = Joining then Channel.send t.join_replies msg
   | Wire.Invite { inc; coord; coord_addr } ->
@@ -1575,9 +1641,16 @@ let handle_solicit_tick t =
       else s.soliciting <- false
   | Some _ | None -> ()
 
-(* Auto-heal: a plain member pings the sequencer on a heartbeat; after
-   enough unanswered pings it initiates recovery itself, requiring a
-   majority of the current membership to survive.
+(* Auto-heal: a plain member watches the sequencer on a heartbeat whose
+   period is learned from the sequencer's traffic, so a busy sequencer's
+   silence is news within tens of ms.  A tick that heard the sequencer
+   within the period sends no ping and looks again once a full period
+   has passed since; a silent tick pings.  Once [probe_retries] + 1
+   pings in a row went unanswered, with nothing heard since the first,
+   the member initiates recovery itself, requiring a majority of the
+   current membership to survive.  That is as many lost exchanges as a
+   fixed heartbeat needs, so a lossy wire makes a live sequencer look
+   dead no more often than it did there.
 
    The sequencer needs the mirror-image watch.  A ping tells a member
    the sequencer lives, but nothing tells the sequencer a member died
@@ -1590,33 +1663,25 @@ let handle_solicit_tick t =
 let handle_heal_tick t =
   (if t.life = Normal && t.member_count > 1 then
      match t.seqs with
-     | None -> (
-         (match t.heal_waiting with
-         | Some _ ->
-             t.heal_misses <- t.heal_misses + 1;
-             (* Proof of life counts from the first miss on: frames that
-                arrive before it may have left a since-crashed host. *)
-             if t.heal_misses = 1 then t.heal_heard <- false;
-             if t.heal_misses > t.cost.probe_retries then begin
-               (* A sequencer silent since the first miss is condemned:
-                  the census need not wait for it once a majority of the
-                  others has answered.  One that was heard from is only
-                  overloaded, and the full census gives it time to
-                  answer. *)
-               let condemned = if t.heal_heard then [] else [ t.seq_mid ] in
-               clear_heal_watch t;
-               let majority = (t.member_count / 2) + 1 in
-               start_reset ~condemned t ~min_members:majority
-                 ~result:(Ivar.create ()) ~inc:(next_incarnation t)
-             end
-         | None -> ());
-         if t.life = Normal then begin
-           t.heal_nonce <- t.heal_nonce + 1;
-           t.heal_waiting <- Some t.heal_nonce;
-           unicast_mid t ~mid:t.seq_mid (Wire.Ping { nonce = t.heal_nonce })
-         end)
+     | None when not (Failure_detector.silent t.heal_est (Engine.now t.engine))
+       ->
+         ()
+     | None ->
+         if t.heal_misses > t.cost.probe_retries then begin
+           (* Silent through every ping: the sequencer is condemned, and
+              the census need not wait for it once a majority of the
+              others has answered.  A sequencer heard from meanwhile
+              never gets here. *)
+           clear_heal_watch t;
+           start_reset ~condemned:[ t.seq_mid ] t
+             ~min_members:((t.member_count / 2) + 1)
+             ~result:(Ivar.create ()) ~inc:(next_incarnation t)
+         end
+         else begin
+           t.heal_misses <- t.heal_misses + 1;
+           unicast_mid t ~mid:t.seq_mid (Wire.Ping { nonce = t.heal_misses })
+         end
      | Some s ->
-         t.heal_waiting <- None;
          let stuck =
            Hashtbl.fold (fun _ tent acc -> acc || tent.t_wait <> []) s.tents false
          in
@@ -1649,7 +1714,7 @@ let handle_reset_tick t epoch =
             arm_reset_tick t run.r_seq ~after:t.cost.probe_timeout_ns
           end
       | Fetching { holder; upto } ->
-          if last_stable t >= upto then install_new_config t run ~global_max:upto
+          if last_stable t >= upto then install_fetched t run ~global_max:upto
           else begin
             run.r_tries <- run.r_tries + 1;
             if run.r_tries > t.cost.probe_retries then
@@ -1659,7 +1724,8 @@ let handle_reset_tick t epoch =
               start_reset ~condemned:run.r_condemned t ~min_members:run.r_min
                 ~result:run.r_result ~inc:(next_incarnation t)
             else begin
-              unicast t ~dst:holder (Wire.Fetch { from_seq = t.nxt; upto });
+              unicast t ~dst:holder
+                (Wire.Fetch { from_seq = fetch_from t run; upto });
               arm_reset_tick t run.r_seq ~after:t.cost.probe_timeout_ns
             end
           end
@@ -1673,8 +1739,13 @@ let kernel_loop t () =
   let rec loop () =
     let input = Channel.recv t.engine t.inbox in
     (if t.life = Left || t.life = Expelled then
-       (* Drain and refuse: the kernel is shut down. *)
+       (* Drain and refuse: the kernel is shut down.  A departed
+          sequencer still serves the stream up to its Leave: a member
+          that has not delivered the Leave yet nacks and pings it, and
+          learns of its successor only from that Leave. *)
        match input with
+       | Net ((Wire.Nack _ | Wire.Ping _) as msg, src) when t.life = Left ->
+           handle_net t msg src
        | Do_send p -> ignore (Ivar.try_fill p.p_result (Error Not_a_member))
        | Do_leave iv -> ignore (Ivar.try_fill iv (Error Not_a_member))
        | Do_reset { result; _ } ->
@@ -1769,13 +1840,14 @@ let kernel_loop t () =
 let make flip ~cfg ~gaddr =
   let cfg = { cfg with pipeline_depth = max 1 cfg.pipeline_depth } in
   let machine = Flip.machine flip in
+  let cost = Machine.cost machine in
   let t =
     {
       flip;
       machine;
       engine = Machine.engine machine;
       k_group = Machine.group machine;
-      cost = Machine.cost machine;
+      cost;
       cfg;
       gaddr;
       kaddr = Flip.fresh_addr flip;
@@ -1806,10 +1878,10 @@ let make flip ~cfg ~gaddr =
       repair_armed = false;
       join_replies = Channel.create ();
       repair_mark = -1;
-      heal_waiting = None;
       heal_misses = 0;
-      heal_heard = false;
-      heal_nonce = 0;
+      heal_est =
+        Failure_detector.estimator ~floor:cost.nack_timeout_ns
+          ~cap:(2 * cost.probe_timeout_ns);
       heal_frontier = -1;
       reset_epoch = 0;
       run = None;

@@ -33,10 +33,11 @@ type config = {
   method_ : send_method;
   history_capacity : int;
   auto_heal : bool;
-      (** in-kernel failure detection: members heartbeat the sequencer
-          and run the recovery themselves (majority quorum) when it
-          stops answering, instead of waiting for the application to
-          call {!reset} *)
+      (** in-kernel failure detection: members watch the sequencer on a
+          heartbeat whose period they learn from its traffic, and run
+          the recovery themselves (majority quorum) when it falls
+          silent, instead of waiting for the application to call
+          {!reset} *)
   pipeline_depth : int;
       (** unacknowledged sequencer rounds this member may keep in
           flight (default 1 = the paper's lock-step

@@ -338,6 +338,7 @@ let multicast t (packet : Packet.t) =
   transmit_fragments ~paced:true t packet
     ~dest:(Frame.Multicast (Addr.multicast_id packet.dst))
 
+let add_route t addr ~station = Addr_tbl.replace t.route_cache addr station
 let locate_cache_size t = Addr_tbl.length t.route_cache
 let corrupt_dropped t = t.n_corrupt_dropped
 let dup_fragments t = t.n_dup_fragments

@@ -46,6 +46,11 @@ val multicast : t -> Packet.t -> [ `Sent | `Dropped ]
     hardware, the sending station does not receive its own multicast;
     a kernel that needs its own message already has it. *)
 
+val add_route : t -> Addr.t -> station:int -> unit
+(** [add_route t addr ~station] caches [station] as the route to
+    [addr], as a successful locate would: a caller already told where
+    an address lives sends to it without broadcasting a WHOIS. *)
+
 val max_fragment : t -> int
 (** Largest packet size that still fits one Ethernet frame. *)
 

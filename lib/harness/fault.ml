@@ -28,8 +28,58 @@ let sort sched = List.stable_sort (fun a b -> compare a.at b.at) sched
 
 (* ----- execution ----- *)
 
+(* Timed conditions of one kind stack: while several are in force the
+   newest sets the value, and once none is, the value from before the
+   first returns.  Restoring "the value I replaced" instead would let
+   the later of two overlapping bursts put the earlier one's value back
+   for the rest of the run. *)
+type 'a layer = {
+  get : unit -> 'a;
+  set : 'a -> unit;
+  mutable in_force : 'a ref list;  (** newest first *)
+  mutable before : 'a;
+}
+
+let layer ~get ~set = { get; set; in_force = []; before = get () }
+
+let push (c : Cluster.t) l v dur =
+  if l.in_force = [] then l.before <- l.get ();
+  let mine = ref v in
+  l.in_force <- mine :: l.in_force;
+  l.set v;
+  ignore
+    (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
+         l.in_force <- List.filter (fun r -> r != mine) l.in_force;
+         l.set (match l.in_force with r :: _ -> !r | [] -> l.before)))
+
+type layers = {
+  loss : float layer;
+  gilbert : Medium.gilbert option layer;
+  dup : float layer;
+  jitter : int layer;
+  corrupt : float layer;
+}
+
+let layers (c : Cluster.t) =
+  let e = c.Cluster.net in
+  (* Each condition sets only its own field of the then-current
+     conditions: bursts of different kinds compose. *)
+  let cond get set =
+    layer
+      ~get:(fun () -> get (Medium.conditions e))
+      ~set:(fun v -> Medium.set_conditions e (set (Medium.conditions e) v))
+  in
+  {
+    loss = layer ~get:(fun () -> Medium.loss_rate e) ~set:(Medium.set_loss_rate e);
+    gilbert = cond (fun k -> k.Medium.gilbert) (fun k v -> { k with Medium.gilbert = v });
+    dup = cond (fun k -> k.Medium.dup_prob) (fun k v -> { k with Medium.dup_prob = v });
+    jitter = cond (fun k -> k.Medium.jitter_ns) (fun k v -> { k with Medium.jitter_ns = v });
+    corrupt =
+      cond (fun k -> k.Medium.corrupt_prob) (fun k v -> { k with Medium.corrupt_prob = v });
+  }
+
 let fire ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
-    ?(on_power_up = fun () -> ()) (c : Cluster.t) action =
+    ?(on_power_up = fun () -> ()) ~layers (c : Cluster.t) action =
   match action with
   | Crash i -> Machine.crash (Cluster.machine c i)
   | Restart i ->
@@ -41,53 +91,15 @@ let fire ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
   | Resume i -> Machine.resume (Cluster.machine c i)
   | Partition (a, b) -> Medium.partition c.Cluster.net a b
   | Heal -> Medium.heal c.Cluster.net
-  | Loss_burst (rate, dur) ->
-      let prev = Medium.loss_rate c.Cluster.net in
-      Medium.set_loss_rate c.Cluster.net rate;
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Medium.set_loss_rate c.Cluster.net prev))
+  | Loss_burst (rate, dur) -> push c layers.loss rate dur
   | Oneway (src, dst) -> Medium.cut_oneway c.Cluster.net ~src ~dst
   | Burst (p_gb, p_bg, loss_bad, dur) ->
-      let e = c.Cluster.net in
-      let prev = (Medium.conditions e).Medium.gilbert in
-      Medium.set_conditions e
-        {
-          (Medium.conditions e) with
-          Medium.gilbert = Some { Medium.p_gb; p_bg; loss_good = 0.; loss_bad };
-        };
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             (* Restore only our own field, reading the then-current
-                conditions: overlapping condition bursts of different
-                kinds must compose, not clobber each other. *)
-             Medium.set_conditions e
-               { (Medium.conditions e) with Medium.gilbert = prev }))
-  | Duplicate (prob, dur) ->
-      let e = c.Cluster.net in
-      let prev = (Medium.conditions e).Medium.dup_prob in
-      Medium.set_conditions e { (Medium.conditions e) with Medium.dup_prob = prob };
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Medium.set_conditions e
-               { (Medium.conditions e) with Medium.dup_prob = prev }))
-  | Jitter (ns, dur) ->
-      let e = c.Cluster.net in
-      let prev = (Medium.conditions e).Medium.jitter_ns in
-      Medium.set_conditions e { (Medium.conditions e) with Medium.jitter_ns = ns };
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Medium.set_conditions e
-               { (Medium.conditions e) with Medium.jitter_ns = prev }))
-  | Corrupt (prob, dur) ->
-      let e = c.Cluster.net in
-      let prev = (Medium.conditions e).Medium.corrupt_prob in
-      Medium.set_conditions e
-        { (Medium.conditions e) with Medium.corrupt_prob = prob };
-      ignore
-        (Engine.schedule c.Cluster.engine ~after:dur (fun () ->
-             Medium.set_conditions e
-               { (Medium.conditions e) with Medium.corrupt_prob = prev }))
+      push c layers.gilbert
+        (Some { Medium.p_gb; p_bg; loss_good = 0.; loss_bad })
+        dur
+  | Duplicate (prob, dur) -> push c layers.dup prob dur
+  | Jitter (ns, dur) -> push c layers.jitter ns dur
+  | Corrupt (prob, dur) -> push c layers.corrupt prob dur
   | Power_cycle_all outage ->
       (* Total power loss: every machine — already-crashed ones
          included — is down for [outage], then power returns and all
@@ -108,12 +120,13 @@ let fire ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
 
 let apply ?on_restart ?on_power_down ?on_power_up c sched =
   let now = Cluster.now c in
+  let layers = layers c in
   List.iter
     (fun { at; action } ->
       ignore
         (Engine.schedule c.Cluster.engine
            ~after:(max 0 (at - now))
-           (fun () -> fire ?on_restart ?on_power_down ?on_power_up c action)))
+           (fun () -> fire ?on_restart ?on_power_down ?on_power_up ~layers c action)))
     sched
 
 (* ----- random schedules ----- *)

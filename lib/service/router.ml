@@ -298,6 +298,17 @@ let worker t flip ss () =
   in
   loop ()
 
+(* The endpoint map already says which machine serves each address:
+   routes from it need no WHOIS.  Broadcast locates from every router
+   at once interrupt every host, and the receive-ring drops they cause
+   hide live sequencers from their members. *)
+let seed_routes flip endpoints =
+  Array.iter
+    (Array.iter (fun (ep : Service.endpoint) ->
+         Flip.add_route flip ep.ep_addr ~station:ep.ep_host;
+         Flip.add_route flip ep.ep_probe ~station:ep.ep_host))
+    endpoints
+
 let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
     ?(timeout = Time.ms 250) ?(attempts = 12) ?(stale_reads = false) ~map
     ~endpoints () =
@@ -310,6 +321,7 @@ let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
   in
   let machine = Flip.machine flip in
   let engine = Machine.engine machine in
+  seed_routes flip endpoints;
   let t =
     {
       engine;
@@ -436,6 +448,7 @@ let txn t ops =
    against the new endpoints; in-flight attempts against dead
    addresses fail over normally. *)
 let update_endpoints t endpoints =
+  seed_routes t.flip endpoints;
   Array.iteri
     (fun shard eps ->
       if shard < Array.length t.shards then begin

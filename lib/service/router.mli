@@ -45,7 +45,10 @@ val create :
   endpoints:Service.endpoint array array ->
   unit ->
   t
-(** [pipeline] is the number of concurrent workers per shard: by
+(** The endpoint map seeds the machine's FLIP route cache: every
+    [ep_addr] and [ep_probe] routes to its [ep_host] without a WHOIS.
+
+    [pipeline] is the number of concurrent workers per shard: by
     default 4, or 1 when [max_batch] > 1 (one gatherer per shard forms
     the largest batches); [timeout] (default 250 ms) bounds each RPC attempt;
     [attempts] (default 12) bounds retries/failovers per request; a
@@ -127,7 +130,8 @@ val update_endpoints : t -> Service.endpoint array array -> unit
     host); hosts new to a shard start trusted.  Round-robin cursors
     reset; the reserve (sequencer-host) set is re-derived from each
     shard's first endpoint, which recovery and migration guarantee
-    belongs to the new sequencer's machine. *)
+    belongs to the new sequencer's machine.  The new endpoints' routes
+    are seeded as in {!create}. *)
 
 val suspected : t -> int -> int list
 (** The machine indices shard [i]'s rotation currently suspects dead —

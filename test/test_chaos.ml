@@ -143,9 +143,14 @@ let test_duplication_absorbed () =
   Alcotest.(check bool) "kernels dropped duplicates" true
     (o.Chaos.duplicates_dropped > 0)
 
+(* Reordering by construction, not by a lucky seed: with 20 sends per
+   member the sequencer multicasts four frames ~7 ms apart every ~67 ms,
+   under up to 30 ms of per-frame delay.  Each such adjacent pair
+   reaches a member out of order with probability ~0.3, and the run
+   makes well over a hundred such draws. *)
 let test_reordering_absorbed () =
   let o =
-    Chaos.run ~n:4 ~seed:12
+    Chaos.run ~n:4 ~seed:12 ~msgs:20
       ~schedule:[ step (Time.ms 100) (Fault.Jitter (Time.ms 30, Time.ms 1_500)) ]
       ()
   in
@@ -153,9 +158,12 @@ let test_reordering_absorbed () =
   Alcotest.(check bool) "kernels absorbed reorderings" true
     (o.Chaos.reorders_absorbed > 0)
 
+(* Like the reordering test, enough traffic that the 5 % corruption
+   draw hits a frame a kernel reads, whatever the seed: at the default 4
+   sends per member an idle group's few frames can all escape it. *)
 let test_corruption_caught_by_checksums () =
   let o =
-    Chaos.run ~n:4 ~seed:13
+    Chaos.run ~n:4 ~seed:13 ~msgs:20
       ~schedule:[ step (Time.ms 100) (Fault.Corrupt (0.05, Time.ms 1_500)) ]
       ()
   in
@@ -282,6 +290,29 @@ let test_ghost_sequencer_after_missed_reset () =
       Alcotest.(check bool) "the group reset around the pause" true
         (o.Chaos.resets > 0))
     fabrics
+
+(* Regression: each timed step restored the value it had replaced, so
+   the later of two overlapping loss bursts put the earlier one's rate
+   back for the rest of the run, and the flush after the horizon met a
+   lossy net.  Steps of one kind stack now: the newest in force sets the
+   rate, and the rate from before the first returns. *)
+let test_overlapping_bursts_end_on_time () =
+  let cl = Cluster.create ~n:2 () in
+  Fault.apply cl
+    [
+      step (Time.ms 10) (Fault.Loss_burst (0.3, Time.ms 100));
+      step (Time.ms 50) (Fault.Loss_burst (0.2, Time.ms 200));
+    ];
+  let rates = ref [] in
+  List.iter
+    (fun ms ->
+      ignore
+        (Engine.schedule cl.Cluster.engine ~after:(Time.ms ms) (fun () ->
+             rates := Medium.loss_rate cl.Cluster.net :: !rates)))
+    [ 30; 65; 150; 300 ];
+  Cluster.run ~until:(Time.sec 1) cl;
+  Alcotest.(check (list (float 0.))) "rate at 30, 65, 150 and 300 ms"
+    [ 0.3; 0.2; 0.2; 0. ] (List.rev !rates)
 
 (* Regression (found by the hostile-net sweep): a member that becomes
    sequencer after a reset used to start its request dedup empty.  A
@@ -600,6 +631,7 @@ let suite =
         test_multigroup_invariants_per_group;
       tc "ghost sequencer after a missed reset"
         test_ghost_sequencer_after_missed_reset;
+      tc "overlapping bursts end on time" test_overlapping_bursts_end_on_time;
       tc "resubmitted delivered send not re-sequenced"
         test_resubmitted_delivered_send_not_resequenced;
       tc "flush waits for a stuck sender" test_flush_waits_for_stuck_sender;

@@ -98,6 +98,59 @@ let test_stopped_detector_looks_dead () =
         (Failure_detector.probe fd0 ~timeout:(Time.ms 20)
            (Failure_detector.address fd1)))
 
+(* ----- the gap estimator ----- *)
+
+(* Feeds arrivals separated by [gaps] and returns the period. *)
+let period_after ?(floor = Time.ms 1) ?(cap = Time.ms 100) gaps =
+  let e = Failure_detector.estimator ~floor ~cap in
+  let e = Failure_detector.heard e 0 in
+  let e, _ =
+    List.fold_left
+      (fun (e, now) gap ->
+        let now = now + gap in
+        (Failure_detector.heard e now, now))
+      (e, 0) gaps
+  in
+  Failure_detector.period e
+
+let test_estimator_bounds () =
+  let floor = Time.ms 15 and cap = Time.ms 200 in
+  let e = Failure_detector.estimator ~floor ~cap in
+  Alcotest.(check int) "nothing heard: the cap" cap (Failure_detector.period e);
+  Alcotest.(check int) "one arrival gives no gap yet" cap
+    (Failure_detector.period (Failure_detector.heard e (Time.ms 3)));
+  Alcotest.(check int) "a burst of five frames does not move it" cap
+    (period_after ~floor ~cap (List.init 5 (fun _ -> Time.us 500)));
+  Alcotest.(check int) "a frame every 1 ms: the floor binds" floor
+    (period_after ~floor ~cap (List.init 100 (fun _ -> Time.ms 1)));
+  Alcotest.(check int) "a frame every 500 ms: the cap binds" cap
+    (period_after ~floor ~cap (List.init 100 (fun _ -> Time.ms 500)));
+  let busy =
+    List.fold_left Failure_detector.heard e (List.init 100 (fun i -> Time.ms i))
+  in
+  Alcotest.(check int) "forgetting returns to the cap" cap
+    (Failure_detector.period (Failure_detector.forget busy))
+
+let test_estimator_widens_with_variance () =
+  (* Same 20 ms mean gap, growing spread: 20±d alternately. *)
+  let period d =
+    period_after
+      (List.init 200 (fun i ->
+           if i mod 2 = 0 then Time.ms (20 - d) else Time.ms (20 + d)))
+  in
+  let steady = period 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "steady gaps: about the gap (%.1f ms)" (Time.to_ms steady))
+    true
+    (steady >= Time.ms 20 && steady < Time.ms 22);
+  let periods = List.map period [ 0; 5; 10; 15 ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "wider spread, longer period (%s ms)"
+       (String.concat ", "
+          (List.map (fun p -> Printf.sprintf "%.1f" (Time.to_ms p)) periods)))
+    true
+    (List.sort_uniq compare periods = periods)
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "failure-detector",
@@ -108,4 +161,7 @@ let suite =
       tc "retry recovers a single loss" test_retry_recovers_single_loss;
       tc "probe_many with mixed verdicts" test_probe_many_mixed;
       tc "stopped detector looks dead" test_stopped_detector_looks_dead;
+      tc "estimator: the floor and the cap bind" test_estimator_bounds;
+      tc "estimator: the period widens with gap variance"
+        test_estimator_widens_with_variance;
     ] )

@@ -703,14 +703,16 @@ let pipelined_reelection_at seed =
 let test_pipelined_reelection_strands_no_send () =
   List.iter pipelined_reelection_at [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
-(* The census skips waiting only for a sequencer that stayed silent.
-   Member 1's pings are cut one way while member 2's sends keep the
-   sequencer's data flowing to it, so its heartbeat fires on a live,
-   merely unreachable sequencer.  The sequencer is then paused for
-   50 ms as the invite reaches it, so member 2 answers first: a census
-   that condemned the sequencer would close on member 2's answer and
-   expel it. *)
+(* Only silence condemns.  Member 1's pings are cut one way while
+   member 2's sends keep the sequencer's data flowing to it: the
+   heartbeat hears the sequencer in every period, so member 1 neither
+   pings its way to a verdict nor starts a recovery.  Member 1 then
+   resets the group itself, and that census condemns nobody.  The
+   sequencer is paused for 50 ms as the invite reaches it, so member 2
+   answers first: a census that condemned the sequencer would close on
+   member 2's answer and expel it. *)
 let test_heard_sequencer_gets_full_census () =
+  let finished = ref false in
   with_cluster 3 (fun cl ->
       let eng = cl.Cluster.engine in
       let g0 = Api.create_group (Cluster.flip cl 0) ~auto_heal:true () in
@@ -739,13 +741,14 @@ let test_heard_sequencer_gets_full_census () =
                      Machine.resume seq_host);
                  false
              | _ -> false));
-      let k = ref 0 in
-      while not !census do
-        incr k;
-        ignore (Api.send_to_group g2 (body (Printf.sprintf "m%d" !k)));
+      for k = 1 to 30 do
+        ignore (Api.send_to_group g2 (body (Printf.sprintf "m%d" k)));
         Engine.sleep eng (Time.ms 50)
       done;
-      Engine.sleep eng (Time.sec 1);
+      Alcotest.(check bool) "the heard sequencer was never suspected" false
+        !census;
+      ignore (check_ok "reset by member 1" (Api.reset_group g1 ~min_members:2));
+      Alcotest.(check bool) "the census invited the sequencer" true !census;
       Medium.set_drop_fun cl.Cluster.net None;
       let info = Api.get_info_group g1 in
       Alcotest.(check bool) "member 1 recovered the group" true
@@ -753,15 +756,17 @@ let test_heard_sequencer_gets_full_census () =
       Alcotest.(check (list int)) "the sequencer it heard from stays a member"
         [ 0; 1; 2 ] info.Api.members;
       Alcotest.(check bool) "the old sequencer is alive" true
-        (Kernel.alive (Api.kernel g0)))
+        (Kernel.alive (Api.kernel g0));
+      finished := true);
+  Alcotest.(check bool) "scenario finished" true !finished
 
 (* Regression: a member's heartbeat miss count outlived the
    configuration it was counted in.  Member 1's pings to the sequencer
-   are cut one way for three heartbeats, so it has counted three misses
-   when the cut heals and member 2's ResetGroup installs a new
-   configuration under a new sequencer.  Member 1 used to count a fourth
-   miss against that live sequencer at its next tick and start a
-   recovery of its own. *)
+   are cut one way for four heartbeats, so it is one tick short of a
+   verdict when the cut heals and member 2's ResetGroup installs a new
+   configuration under a new sequencer.  Member 1 used to count the
+   last unanswered ping against that live sequencer at its next tick
+   and start a recovery of its own. *)
 let test_heal_watch_restarts_with_config () =
   with_cluster 3 (fun cl ->
       let eng = cl.Cluster.engine in
@@ -775,8 +780,8 @@ let test_heal_watch_restarts_with_config () =
       let s1 = record_stream cl g1 in
       ignore (check_ok "warm" (Api.send_to_group g1 (body "w")));
       Engine.sleep eng (Time.ms 100);
-      (* Every ping member 1 sends is lost; the fourth tick after the cut
-         counts the third miss and sends the fourth ping. *)
+      (* Every ping member 1 sends is lost; the fourth silent tick after
+         the cut sends the fourth ping, the last before a verdict. *)
       let lost = ref [] in
       Medium.set_drop_fun cl.Cluster.net
         (Some
@@ -846,6 +851,243 @@ let test_leave_event_precedes_released_sends () =
       let seqs = List.map fst stream in
       Alcotest.(check (list int)) "in sequence order" (List.sort compare seqs) seqs)
 
+(* The stream a member's application read, with Member_left events. *)
+let stream_of g =
+  let rec drain acc =
+    match Api.receive_opt g with
+    | None -> List.rev acc
+    | Some (T.Message { body; _ }) -> drain (Bytes.to_string body :: acc)
+    | Some (T.Member_left { mid; _ }) ->
+        drain (Printf.sprintf "left %d" mid :: acc)
+    | Some _ -> drain acc
+  in
+  drain []
+
+(* Regression: a sequencer whose own Leave waited behind an
+   unacknowledged tentative kept sequencing after it.  The successor
+   takes over right after the Leave, so it assigned that seq a second
+   time, to a later send, which every member then dropped as a
+   duplicate.  With r = 1 the sequencer's own send waits on member 1's
+   ack; member 1's acks are held back while the sequencer leaves and
+   member 2 sends. *)
+let test_no_seq_after_own_leave () =
+  let finished = ref false in
+  with_cluster 3 (fun cl ->
+      let eng = cl.Cluster.engine in
+      let g0 = Api.create_group (Cluster.flip cl 0) ~resilience:1 () in
+      let join i =
+        check_ok "join"
+          (Api.join_group (Cluster.flip cl i) ~resilience:1 (Api.group_address g0))
+      in
+      let g1 = join 1 in
+      let g2 = join 2 in
+      ignore (check_ok "warm" (Api.send_to_group g0 (body "w")));
+      Engine.sleep eng (Time.ms 100);
+      Medium.set_drop_fun cl.Cluster.net
+        (Some
+           (fun frame ->
+             match group_msg_from 1 frame with
+             | Some (Wire.Ack_tent _) -> true
+             | _ -> false));
+      Cluster.spawn cl (fun () -> ignore (Api.send_to_group g0 (body "a")));
+      Engine.sleep eng (Time.ms 5);
+      Cluster.spawn cl (fun () -> ignore (Api.leave_group g0));
+      Engine.sleep eng (Time.ms 5);
+      Cluster.spawn cl (fun () -> ignore (check_ok "b" (Api.send_to_group g2 (body "b"))));
+      Engine.sleep eng (Time.ms 5);
+      Medium.set_drop_fun cl.Cluster.net None;
+      Engine.sleep eng (Time.sec 1);
+      ignore (check_ok "c" (Api.send_to_group g2 (body "c")));
+      Engine.sleep eng (Time.ms 100);
+      List.iter
+        (fun g ->
+          Alcotest.(check (list string)) "every send after the Leave, once"
+            [ "w"; "a"; "left 0"; "b"; "c" ] (stream_of g))
+        [ g1; g2 ];
+      finished := true);
+  Alcotest.(check bool) "scenario finished" true !finished
+
+(* Regression: a sequencer that delivered its own Leave went silent.
+   Member 2 misses the Leave, so it still takes the departed sequencer
+   for the sequencer: it nacks the gap that the successor's first send
+   opens, and only that Leave can tell it who the successor is. *)
+let test_departed_sequencer_serves_its_stream () =
+  let finished = ref false in
+  with_cluster 3 (fun cl ->
+      let eng = cl.Cluster.engine in
+      let g0 = Api.create_group (Cluster.flip cl 0) () in
+      let join i =
+        check_ok "join" (Api.join_group (Cluster.flip cl i) (Api.group_address g0))
+      in
+      let g1 = join 1 in
+      let g2 = join 2 in
+      ignore (check_ok "warm" (Api.send_to_group g1 (body "w")));
+      Engine.sleep eng (Time.ms 100);
+      Medium.cut_oneway cl.Cluster.net ~src:0 ~dst:2;
+      ignore (check_ok "leave" (Api.leave_group g0));
+      Engine.sleep eng (Time.ms 50);
+      Medium.heal_oneway cl.Cluster.net ~src:0 ~dst:2;
+      ignore (check_ok "x" (Api.send_to_group g1 (body "x")));
+      Engine.sleep eng (Time.ms 500);
+      Alcotest.(check (list string)) "member 2 caught up through the Leave"
+        [ "w"; "left 0"; "x" ] (stream_of g2);
+      finished := true);
+  Alcotest.(check bool) "scenario finished" true !finished
+
+(* A group of [n] with m0 sequencing, where m0 has forked: paused with
+   m1's request "a" queued and cut off from m1..m3, it misses two
+   recoveries by m1 (the first new incarnation starts at seq s, the
+   second three seqs later) and, once resumed, sequences "a" at s in its
+   dead incarnation.  [while_paused] runs as the recoveries start;
+   [scenario] gets the members' groups after the fork. *)
+let with_forked_sequencer n ?(while_paused = fun _ -> ()) scenario =
+  let finished = ref false in
+  with_cluster n (fun cl ->
+      let eng = cl.Cluster.engine and net = cl.Cluster.net in
+      let g0 = Api.create_group (Cluster.flip cl 0) () in
+      let gs =
+        Array.of_list
+          (g0
+          :: List.init (n - 1) (fun i ->
+                 check_ok "join"
+                   (Api.join_group (Cluster.flip cl (i + 1)) (Api.group_address g0))))
+      in
+      ignore (check_ok "warm" (Api.send_to_group gs.(1) (body "w")));
+      Engine.sleep eng (Time.ms 100);
+      Machine.pause (Cluster.machine cl 0);
+      Cluster.spawn cl (fun () -> ignore (Api.send_to_group gs.(1) (body "a")));
+      Engine.sleep eng (Time.ms 5);
+      List.iter (fun i -> Medium.cut_oneway net ~src:i ~dst:0) [ 1; 2; 3 ];
+      while_paused cl;
+      ignore (check_ok "first reset" (Api.reset_group gs.(1) ~min_members:3));
+      ignore (check_ok "b" (Api.send_to_group gs.(2) (body "b")));
+      ignore (check_ok "second reset" (Api.reset_group gs.(1) ~min_members:3));
+      Machine.resume (Cluster.machine cl 0);
+      Engine.sleep eng (Time.ms 50);
+      Medium.set_drop_fun net None;
+      scenario cl gs;
+      finished := true);
+  Alcotest.(check bool) "scenario finished" true !finished
+
+(* Regression: a coordinator took back the forked m0.  m4 acks both of
+   m1's censuses but misses both configurations, so its frozen-grace
+   timeout starts a recovery of its own: every ack but m0's names the
+   second incarnation, whose start is past m0's fork, and only the
+   first one's Reset, which m4 fetches, shows it. *)
+let test_fork_past_older_incarnation_left_out () =
+  let miss_configs_at_4 cl =
+    Medium.set_drop_fun cl.Cluster.net
+      (Some
+         (fun f ->
+           f.Frame.dest = Frame.Unicast 4
+           &&
+           match Flip.packet_of_frame f with
+           | Some { Packet.body = Wire.Group (Wire.New_config _); _ } -> true
+           | _ -> false))
+  in
+  with_forked_sequencer 5 ~while_paused:miss_configs_at_4 (fun cl gs ->
+      let eng = cl.Cluster.engine and k4 = Api.kernel gs.(4) in
+      while (not (Kernel.is_sequencer k4)) && Engine.now eng < Time.sec 5 do
+        Engine.sleep eng (Time.ms 10)
+      done;
+      Alcotest.(check (list int)) "m4 recovers without m0's fork" [ 1; 2; 3; 4 ]
+        (Api.get_info_group gs.(4)).Api.members)
+
+(* Regression: the forked m0 coordinated a recovery itself.  Every ack
+   names the second incarnation, whose start is past m0's fork, so m0
+   fetched the survivors' stream on top of its own and delivered "a" a
+   second time.  A coordinator that missed a configuration now fetches
+   from its own incarnation's start and expels itself when the overlap
+   differs from what it delivered. *)
+let test_forked_coordinator_expels_itself () =
+  with_forked_sequencer 4 (fun cl gs ->
+      List.iter
+        (fun i -> Medium.heal_oneway cl.Cluster.net ~src:i ~dst:0)
+        [ 1; 2; 3 ];
+      (match Api.reset_group gs.(0) ~min_members:3 with
+      | Ok _ -> Alcotest.fail "the forked coordinator installed"
+      | Error _ -> ());
+      Alcotest.(check (list string)) "m0 delivered each send once"
+        [ "w"; "a" ] (stream_of gs.(0)))
+
+(* Regression: a coordinator whose fetch replayed its own Leave went on
+   to install itself as the new sequencer.  m1 asks to leave but hears
+   nothing from the sequencer any more: its Leave is delivered
+   everywhere else, and its heartbeat goes unanswered until it starts a
+   recovery whose fetch holds that Leave.  The run is void; the others
+   recover without m1. *)
+let test_coordinator_fetching_own_leave_stands_down () =
+  let finished = ref false in
+  with_cluster 4 (fun cl ->
+      let eng = cl.Cluster.engine in
+      let g0 = Api.create_group (Cluster.flip cl 0) ~auto_heal:true () in
+      let join i =
+        check_ok "join"
+          (Api.join_group (Cluster.flip cl i) ~auto_heal:true (Api.group_address g0))
+      in
+      let g1 = join 1 in
+      let g2 = join 2 in
+      let _g3 = join 3 in
+      ignore (check_ok "warm" (Api.send_to_group g2 (body "w")));
+      Engine.sleep eng (Time.ms 100);
+      Medium.cut_oneway cl.Cluster.net ~src:0 ~dst:1;
+      Cluster.spawn cl (fun () -> ignore (Api.leave_group g1));
+      let k1 = Api.kernel g1 in
+      while
+        Kernel.alive k1 && (not (Kernel.is_sequencer k1)) && Engine.now eng < Time.sec 10
+      do
+        Engine.sleep eng (Time.ms 10)
+      done;
+      Alcotest.(check bool) "m1 did not take over" false (Kernel.is_sequencer k1);
+      Alcotest.(check bool) "m1 has left" false (Kernel.alive k1);
+      ignore (check_ok "after" (Api.send_to_group g2 (body "x")));
+      Alcotest.(check (list int)) "the others carry on" [ 0; 2; 3 ]
+        (Api.get_info_group g2).Api.members;
+      finished := true);
+  Alcotest.(check bool) "scenario finished" true !finished
+
+(* A busy sequencer's silence is news within tens of ms: the members'
+   heartbeat period is learned from its traffic.  Member 2 sends in a
+   loop; the sequencer crashes; a survivor takes over within 200 ms,
+   less than one idle heartbeat period. *)
+let test_busy_sequencer_crash_detected_fast () =
+  let finished = ref false in
+  with_cluster 3 (fun cl ->
+      let eng = cl.Cluster.engine in
+      let g0 = Api.create_group (Cluster.flip cl 0) ~auto_heal:true () in
+      let join i =
+        check_ok "join"
+          (Api.join_group (Cluster.flip cl i) ~auto_heal:true (Api.group_address g0))
+      in
+      let g1 = join 1 in
+      let g2 = join 2 in
+      let sending = ref true in
+      Cluster.spawn cl (fun () ->
+          let k = ref 0 in
+          while !sending do
+            incr k;
+            ignore (Api.send_to_group g2 (body (Printf.sprintf "m%d" !k)));
+            Engine.sleep eng (Time.ms 2)
+          done);
+      Engine.sleep eng (Time.ms 500);
+      let crashed = Engine.now eng in
+      Machine.crash (Cluster.machine cl 0);
+      let took_over () =
+        Kernel.is_sequencer (Api.kernel g1) || Kernel.is_sequencer (Api.kernel g2)
+      in
+      while (not (took_over ())) && Engine.now eng - crashed < Time.sec 5 do
+        Engine.sleep eng (Time.ms 1)
+      done;
+      let takeover_ms = Time.to_ms (Engine.now eng - crashed) in
+      if takeover_ms > 200. then
+        Alcotest.failf "takeover took %.1f ms, over the 200 ms bound" takeover_ms;
+      sending := false;
+      ignore (check_ok "after" (Api.send_to_group g1 (body "after")));
+      Alcotest.(check (list int)) "the survivors" [ 1; 2 ]
+        (Api.get_info_group g1).Api.members;
+      finished := true);
+  Alcotest.(check bool) "scenario finished" true !finished
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "recovery",
@@ -879,5 +1121,17 @@ let suite =
         test_heal_watch_restarts_with_config;
       tc "a Leave precedes the sends it releases"
         test_leave_event_precedes_released_sends;
+      tc "a sequencer sequences nothing after its own Leave"
+        test_no_seq_after_own_leave;
+      tc "a departed sequencer serves its stream up to its Leave"
+        test_departed_sequencer_serves_its_stream;
+      tc "a fork past an older incarnation is left out"
+        test_fork_past_older_incarnation_left_out;
+      tc "a forked coordinator expels itself"
+        test_forked_coordinator_expels_itself;
+      tc "a coordinator that fetches its own Leave stands down"
+        test_coordinator_fetching_own_leave_stands_down;
+      tc "a busy sequencer's crash is detected within 200 ms"
+        test_busy_sequencer_crash_detected_fast;
       QCheck_alcotest.to_alcotest prop_survivors_agree_after_random_crash;
     ] )

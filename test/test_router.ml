@@ -390,6 +390,50 @@ let test_expelled_replica_is_dead () =
   Cluster.run ~until:(Time.sec 30) cl;
   Alcotest.(check bool) "scenario finished" true !done_
 
+(* ---------- the endpoint map seeds the route cache ----------
+
+   A router is told which machine serves every endpoint, so it must not
+   broadcast a WHOIS to find one: from every router at once, those
+   broadcasts interrupt every host.  The endpoints here swallow every
+   packet, so nothing ever locates the router's own addresses, and
+   every broadcast frame from the router's machine would be one of its
+   WHOIS.  The drop function drops nothing; it only counts. *)
+let test_router_seeds_routes () =
+  let cl = Cluster.create ~n:3 ~seed:5 () in
+  let whois = ref 0 and received = ref 0 in
+  Medium.set_drop_fun cl.Cluster.net
+    (Some
+       (fun f ->
+         if f.Frame.src = 2 && f.Frame.dest = Frame.Broadcast then incr whois;
+         false));
+  let silent host =
+    let flip = Cluster.flip cl host in
+    let addr = Flip.fresh_addr flip and probe = Flip.fresh_addr flip in
+    Flip.register flip addr (fun _ -> incr received);
+    Flip.register flip probe (fun _ -> ());
+    { Service.ep_shard = 0; ep_host = host; ep_addr = addr; ep_probe = probe }
+  in
+  let finished = ref false in
+  Cluster.spawn cl (fun () ->
+      let map = Shard_map.create ~shards:1 ~replication:1 ~hosts:[ 2 ] () in
+      let router =
+        Router.create (Cluster.flip cl 2) ~timeout:(Time.ms 20) ~attempts:2
+          ~map
+          ~endpoints:[| [| silent 0; silent 1 |] |]
+          ()
+      in
+      ignore (Router.put router "k" "v");
+      let first = !received in
+      Alcotest.(check int) "no WHOIS for the map's endpoints" 0 !whois;
+      Router.update_endpoints router [| [| silent 0; silent 1 |] |];
+      ignore (Router.put router "k" "v");
+      Alcotest.(check int) "none for the swapped-in ones either" 0 !whois;
+      Alcotest.(check bool) "both puts reached the endpoints" true
+        (first > 0 && !received > first);
+      finished := true);
+  Cluster.run ~until:(Time.sec 30) cl;
+  Alcotest.(check bool) "scenario finished" true !finished
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   ( "router",
@@ -405,5 +449,6 @@ let suite =
         tc "wrong shard fails fast" test_wrong_shard_fails_fast;
         tc "an expelled replica is a dead endpoint"
           test_expelled_replica_is_dead;
+        tc "the endpoint map seeds the route cache" test_router_seeds_routes;
       ] )
 
