@@ -431,7 +431,7 @@ let service_run ~shards ~hosts ~routers ~replication ~workers ~duration_ms
       routers;
       replication;
       wire_mbps;
-      net = (fabric, Amoeba_net.Medium.clean);
+      net = (fabric, Amoeba_net.Impair.clean);
       max_batch;
       batch_delay_us;
       pipeline_depth;

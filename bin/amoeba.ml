@@ -43,7 +43,7 @@ let net_conv =
 let net_t =
   Arg.(
     value
-    & opt net_conv (Amoeba_net.Medium.Shared, Amoeba_net.Medium.clean)
+    & opt net_conv (Amoeba_net.Medium.Shared, Amoeba_net.Impair.clean)
     & info [ "net" ]
         ~doc:
           "Fabric and/or link conditions, '+'-separated.  Fabric: ether \

@@ -3,27 +3,11 @@ open Amoeba_net
 open Amoeba_flip
 open Types
 
-(* Per-group durable-storage counters.  The kernel knows nothing about
-   disks; the storage layer above (Amoeba_grouplib.Rsm over
-   Stable_store) bumps these so GetInfoGroup can report them alongside
-   the protocol stats. *)
-type storage = {
-  mutable disk_writes_dropped : int;
-  mutable wal_appends : int;
-  mutable wal_fsyncs : int;
-  mutable checkpoints_written : int;
-  mutable wal_records_replayed : int;
-  mutable torn_tails_truncated : int;
-  mutable checksum_rejects : int;
-  mutable stale_reads : int;
-}
-
 type group = {
   k : Kernel.t;
   machine : Machine.t;
   engine : Engine.t;
   cost : Cost_model.t;
-  storage : storage;
 }
 
 type info = {
@@ -45,14 +29,6 @@ type info = {
   batches_sent : int;
   ops_per_batch_avg : float;
   pipeline_depth_hwm : int;
-  disk_writes_dropped : int;
-  wal_appends : int;
-  wal_fsyncs : int;
-  checkpoints_written : int;
-  wal_records_replayed : int;
-  torn_tails_truncated : int;
-  checksum_rejects : int;
-  stale_reads : int;
 }
 
 let wrap flip k =
@@ -62,17 +38,6 @@ let wrap flip k =
     machine;
     engine = Machine.engine machine;
     cost = Machine.cost machine;
-    storage =
-      {
-        disk_writes_dropped = 0;
-        wal_appends = 0;
-        wal_fsyncs = 0;
-        checkpoints_written = 0;
-        wal_records_replayed = 0;
-        torn_tails_truncated = 0;
-        checksum_rejects = 0;
-        stale_reads = 0;
-      };
   }
 
 let config ~resilience ~send_method ~history ~auto_heal ~pipeline =
@@ -155,15 +120,6 @@ let get_info_group g =
        if st.Kernel.batches_sent = 0 then 1.
        else float_of_int st.Kernel.batched_ops /. float_of_int st.Kernel.batches_sent);
     pipeline_depth_hwm = (Kernel.stats g.k).Kernel.pipeline_depth_hwm;
-    disk_writes_dropped = g.storage.disk_writes_dropped;
-    wal_appends = g.storage.wal_appends;
-    wal_fsyncs = g.storage.wal_fsyncs;
-    checkpoints_written = g.storage.checkpoints_written;
-    wal_records_replayed = g.storage.wal_records_replayed;
-    torn_tails_truncated = g.storage.torn_tails_truncated;
-    checksum_rejects = g.storage.checksum_rejects;
-    stale_reads = g.storage.stale_reads;
   }
 
-let storage_counters g = g.storage
 let kernel g = g.k

@@ -21,22 +21,6 @@ open Types
 
 type group
 
-type storage = {
-  mutable disk_writes_dropped : int;
-      (** durable writes lost to a dead machine *)
-  mutable wal_appends : int;
-  mutable wal_fsyncs : int;
-  mutable checkpoints_written : int;
-  mutable wal_records_replayed : int;  (** during recovery *)
-  mutable torn_tails_truncated : int;  (** during recovery *)
-  mutable checksum_rejects : int;  (** during recovery *)
-  mutable stale_reads : int;  (** reads served from the durable frontier *)
-}
-(** Durable-storage counters for one group member.  The kernel knows
-    nothing about disks: the replication layer above
-    ([Amoeba_grouplib.Rsm]) bumps them via {!storage_counters}, and
-    {!get_info_group} reports them with the protocol stats. *)
-
 type info = {
   my_mid : mid;
   sequencer : mid;
@@ -62,15 +46,6 @@ type info = {
       (** mean ops per batched send; 1.0 when nothing was batched *)
   pipeline_depth_hwm : int;
       (** most unacknowledged rounds ever in flight at once *)
-  disk_writes_dropped : int;
-  wal_appends : int;
-  wal_fsyncs : int;
-  checkpoints_written : int;
-  wal_records_replayed : int;
-  torn_tails_truncated : int;
-  checksum_rejects : int;
-  stale_reads : int;
-      (** the {!storage} counters at the moment of the call *)
 }
 
 val create_group :
@@ -127,10 +102,6 @@ val receive_opt : group -> event option
 val reset_group : group -> min_members:int -> (int, error) result
 
 val get_info_group : group -> info
-
-val storage_counters : group -> storage
-(** The mutable durable-storage counter block, for the replication
-    layer to account its disk traffic against. *)
 
 val kernel : group -> Kernel.t
 (** Escape hatch for tests and benchmarks. *)

@@ -21,8 +21,6 @@ let default_config =
   }
 
 type stats = {
-  mutable delivered : int;
-  mutable sends_completed : int;
   mutable nacks_sent : int;
   mutable retransmissions : int;
   mutable duplicates_dropped : int;
@@ -213,8 +211,6 @@ type t = {
 
 let new_stats () =
   {
-    delivered = 0;
-    sends_completed = 0;
     nacks_sent = 0;
     retransmissions = 0;
     duplicates_dropped = 0;
@@ -323,9 +319,7 @@ let status_req t =
     msg
   end
 
-let post_event t ev =
-  Channel.send t.event_out ev;
-  t.st.delivered <- t.st.delivered + 1
+let post_event t ev = Channel.send t.event_out ev
 
 (* All wire output goes through these; FLIP and NIC charge their own
    costs.  Results are ignored: reliability comes from the protocol's
@@ -544,7 +538,6 @@ and deliver_entry t (e : History.entry) =
          so the event queue is not churning through stale ticks. *)
       (match p.p_timer with Some h -> Engine.cancel h | None -> ());
       p.p_timer <- None;
-      t.st.sends_completed <- t.st.sends_completed + 1;
       ignore (Ivar.try_fill p.p_result (Ok e.seq));
       next_queued_send t
   | None -> ()

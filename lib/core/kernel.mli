@@ -49,8 +49,6 @@ type config = {
 val default_config : config
 
 type stats = {
-  mutable delivered : int;  (** messages delivered to the application *)
-  mutable sends_completed : int;
   mutable nacks_sent : int;
   mutable retransmissions : int;  (** repairs served by the sequencer *)
   mutable duplicates_dropped : int;

@@ -94,10 +94,7 @@ module Make (App : APP) = struct
            machine's lifecycle group: a write races a crash, it must
            not land after the machine is dead. *)
         Engine.spawn ~group:(Machine.group t.machine) t.engine (fun () ->
-            if not (Stable_store.write store t.machine ~key payload) then begin
-              let sc = Api.storage_counters t.g in
-              sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
-            end)
+            ignore (Stable_store.write store t.machine ~key payload))
     | Some _ | None -> ()
 
   (* WAL one applied update, synchronously in the applier: a
@@ -107,21 +104,15 @@ module Make (App : APP) = struct
     match t.durable with
     | None -> ()
     | Some d ->
-        let sc = Api.storage_counters t.g in
         let sync =
           match d.sync with
           | Every_commit -> true
           | Group_fsync k -> k <= 1 || t.n_applied mod k = 0
           | Checkpoint_only -> false
         in
-        if
-          Stable_store.wal_append d.store t.machine ~log:(wal_name d) ~sync
-            ~index:t.n_applied (App.encode_update u)
-        then begin
-          sc.Api.wal_appends <- sc.Api.wal_appends + 1;
-          if sync then sc.Api.wal_fsyncs <- sc.Api.wal_fsyncs + 1
-        end
-        else sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
+        ignore
+          (Stable_store.wal_append d.store t.machine ~log:(wal_name d) ~sync
+             ~index:t.n_applied (App.encode_update u))
 
   let ckpt_payload st count =
     let enc = App.encode_state st in
@@ -146,18 +137,13 @@ module Make (App : APP) = struct
         let st = t.st and count = t.n_applied in
         let payload = ckpt_payload st count in
         Engine.spawn ~group:(Machine.group t.machine) t.engine (fun () ->
-            let sc = Api.storage_counters t.g in
             if Stable_store.write d.store t.machine ~key:(ckpt_name d) payload
             then begin
-              sc.Api.checkpoints_written <- sc.Api.checkpoints_written + 1;
               t.durable_snap <- Some (st, count);
-              if
-                not
-                  (Stable_store.wal_trim d.store t.machine ~log:(wal_name d)
-                     ~upto:count)
-              then sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
-            end
-            else sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1;
+              ignore
+                (Stable_store.wal_trim d.store t.machine ~log:(wal_name d)
+                   ~upto:count)
+            end;
             t.ckpt_inflight <- false)
     | Some _ | None -> ()
 
@@ -444,16 +430,11 @@ module Make (App : APP) = struct
         let machine_name = Machine.name t.machine in
         Stable_store.wal_reset d.store ~machine_name ~log:(wal_name d);
         Stable_store.remove d.store ~machine_name ~key:(ckpt_name d);
-        let sc = Api.storage_counters t.g in
         let st = t.st and count = t.n_applied in
         if
           Stable_store.write d.store t.machine ~key:(ckpt_name d)
             (ckpt_payload st count)
-        then begin
-          sc.Api.checkpoints_written <- sc.Api.checkpoints_written + 1;
-          t.durable_snap <- Some (st, count)
-        end
-        else sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
+        then t.durable_snap <- Some (st, count)
 
   let join flip ?(resilience = 0) ?(send_method = T.Pb) ?(auto_heal = false)
       ?(pipeline = 1) ?checkpoint ?durable ?tap addr =

@@ -12,6 +12,7 @@ type outcome = {
   sends_started : int;
   sends_completed : int;
   sends_aborted : int;
+  sends_lost : int;
   nacks : int;
   retransmissions : int;
   solicitations : int;
@@ -84,7 +85,7 @@ let wal_entries replay =
     replay.Store.records
 
 let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
-    ?(msgs = 4) ?(horizon = Time.ms 2000) ?schedule ?(net = Medium.clean)
+    ?(msgs = 4) ?(horizon = Time.ms 2000) ?schedule ?(net = Impair.clean)
     ?(fabric = Medium.Shared) ?(pipeline = 1) ?(ops_per_send = 1) ?disk ~seed
     () =
   if groups < 1 then invalid_arg "Chaos.run: groups < 1";
@@ -125,11 +126,12 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
      tail-gap repair runs on a quiet net, the same contract the
      schedule's bounded bursts obey (every burst ends by
      horizon + 800ms). *)
-  if net <> Medium.clean then begin
-    Medium.set_conditions c.Cluster.net net;
+  let imp = Medium.impair c.Cluster.net in
+  if net <> Impair.clean then begin
+    Impair.set_conditions imp net;
     ignore
       (Engine.schedule eng ~after:(horizon + Time.sec 1) (fun () ->
-           Medium.set_conditions c.Cluster.net Medium.clean))
+           Impair.set_conditions imp Impair.clean))
   end;
   let crashed = Array.make n false in
   List.iter
@@ -153,6 +155,10 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
   let fired_cycles = ref 0 in
   let recovered = ref [] in
   let started = ref 0 and n_ok = ref 0 and n_err = ref 0 in
+  (* Every send still waiting for its reply, with its machine and that
+     machine's incarnation: a crash kills the sending process, so the
+     send never returns and is lost with its machine, not stuck. *)
+  let in_flight = ref [] in
   (* Application processes run *on* their machine ([Cluster.spawn_on]):
      a crash is fail-stop for the whole host, so collectors and senders
      are crash-stopped with it by the engine's process groups — no
@@ -176,18 +182,11 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
              recovery invariant asks. *)
           (match (e, store) with
           | Message { seq; sender; body }, Some st ->
-              let sc = Api.storage_counters g in
-              if
-                Store.wal_append st (Cluster.machine c i)
-                  ~log:("chaos:" ^ lbl) ~sync:true ~index:seq
-                  (Bytes.of_string
-                     (Printf.sprintf "%d %s" sender (Bytes.to_string body)))
-              then begin
-                sc.Api.wal_appends <- sc.Api.wal_appends + 1;
-                sc.Api.wal_fsyncs <- sc.Api.wal_fsyncs + 1
-              end
-              else
-                sc.Api.disk_writes_dropped <- sc.Api.disk_writes_dropped + 1
+              ignore
+                (Store.wal_append st (Cluster.machine c i)
+                   ~log:("chaos:" ^ lbl) ~sync:true ~index:seq
+                   (Bytes.of_string
+                      (Printf.sprintf "%d %s" sender (Bytes.to_string body))))
           | _ -> ());
           match e with Expelled -> () | _ -> collect ()
         in
@@ -196,9 +195,14 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
   (* [ops_per_send] only declares a batch to the kernel's cost and
      wire accounting — the body itself stays one opaque tagged string,
      so the checker's body matching is untouched. *)
-  let record_send j mid body g =
+  let record_send j i mid body g =
     incr started;
-    match Api.send_to_group ~ops:ops_per_send g (Bytes.of_string body) with
+    let waiting = ref true in
+    in_flight :=
+      (i, Machine.restarts (Cluster.machine c i), waiting) :: !in_flight;
+    let r = Api.send_to_group ~ops:ops_per_send g (Bytes.of_string body) in
+    waiting := false;
+    match r with
     | Ok _ ->
         incr n_ok;
         let dst = if !cut_done then post_completed.(j) else completed.(j) in
@@ -213,7 +217,7 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
     Cluster.spawn_on c i (fun () ->
         Engine.sleep eng (Time.ms 30 + (mid * Time.ms 7) + (j * Time.ms 3));
         for k = 1 to msgs do
-          record_send j mid (Printf.sprintf "o%d.%d" mid k) g;
+          record_send j i mid (Printf.sprintf "o%d.%d" mid k) g;
           if k = msgs then Ivar.fill sent ();
           Engine.sleep eng gap
         done;
@@ -232,7 +236,7 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
     Cluster.spawn_on c i (fun () ->
         Engine.sleep eng (max 0 (horizon + Time.sec 3 - Engine.now eng));
         Ivar.read eng sent;
-        record_send j mid (Printf.sprintf "o%d.%d" mid (msgs + 1)) g)
+        record_send j i mid (Printf.sprintf "o%d.%d" mid (msgs + 1)) g)
   in
   let addrs = Array.make groups None in
   Cluster.spawn c (fun () ->
@@ -344,7 +348,7 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
                 let mid = (Api.get_info_group g).Api.my_mid in
                 Cluster.spawn_on c i (fun () ->
                     Engine.sleep eng (Time.ms 50 + (mid * Time.ms 7));
-                    record_send j mid
+                    record_send j i mid
                       (Printf.sprintf "o%d.%d" mid (msgs + 2))
                       g)
               in
@@ -477,12 +481,21 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
     sends_started = !started;
     sends_completed = !n_ok;
     sends_aborted = !n_err;
+    sends_lost =
+      List.length
+        (List.filter
+           (fun (i, incarnation, waiting) ->
+             let m = Cluster.machine c i in
+             !waiting
+             && ((not (Machine.is_alive m))
+                || Machine.restarts m <> incarnation))
+           !in_flight);
     nacks = sum (fun i -> i.Api.nacks_sent);
     retransmissions = sum (fun i -> i.Api.retransmissions);
     solicitations = sum (fun i -> i.Api.status_solicitations);
     resets = sum (fun i -> i.Api.resets_survived);
-    frames_lost = Medium.frames_lost c.Cluster.net;
-    partition_drops = Medium.partition_drops c.Cluster.net;
+    frames_lost = Impair.frames_lost imp;
+    partition_drops = Impair.partition_drops imp;
     queue_drops = Medium.queue_drops c.Cluster.net;
     rx_overflows =
       Array.fold_left
@@ -502,10 +515,10 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
          acc := !acc + Amoeba_flip.Flip.corrupt_dropped (Cluster.flip c i)
        done;
        !acc);
-    oneway_drops = Medium.oneway_drops c.Cluster.net;
-    cond_losses = Medium.cond_losses c.Cluster.net;
-    dups_injected = Medium.duplicates_injected c.Cluster.net;
-    corruptions_injected = Medium.corruptions_injected c.Cluster.net;
+    oneway_drops = Impair.oneway_drops imp;
+    cond_losses = Impair.cond_losses imp;
+    dups_injected = Impair.duplicates_injected imp;
+    corruptions_injected = Impair.corruptions_injected imp;
     batches_sent = sum (fun i -> i.Api.batches_sent);
     ops_per_batch_avg =
       (* batched-op totals reconstructed from each member's average *)
@@ -555,9 +568,11 @@ let print_report o =
   List.iter
     (fun v -> Format.printf "  %a@." Checker.pp_verdict v)
     o.verdicts;
-  Printf.printf "sends:     %d started, %d completed, %d aborted, %d stuck\n"
-    o.sends_started o.sends_completed o.sends_aborted
-    (o.sends_started - o.sends_completed - o.sends_aborted);
+  Printf.printf
+    "sends:     %d started, %d completed, %d aborted, %d lost with their \
+     machine, %d stuck\n"
+    o.sends_started o.sends_completed o.sends_aborted o.sends_lost
+    (o.sends_started - o.sends_completed - o.sends_aborted - o.sends_lost);
   Printf.printf
     "recovery:  %d nacks, %d retransmissions, %d solicitations, %d resets \
      survived, %d reboots\n"

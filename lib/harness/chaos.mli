@@ -19,6 +19,10 @@ type outcome = {
   sends_started : int;
   sends_completed : int;
   sends_aborted : int;  (** sends that returned an error *)
+  sends_lost : int;
+      (** sends that never returned because their machine crashed or
+          restarted meanwhile; the rest of the unreturned sends, on
+          machines alive at the end, are stuck *)
   nacks : int;
   retransmissions : int;
   solicitations : int;
@@ -66,7 +70,7 @@ val run :
   ?msgs:int ->
   ?horizon:Time.t ->
   ?schedule:Fault.schedule ->
-  ?net:Amoeba_net.Ether.conditions ->
+  ?net:Amoeba_net.Impair.conditions ->
   ?fabric:Amoeba_net.Medium.spec ->
   ?pipeline:int ->
   ?ops_per_send:int ->

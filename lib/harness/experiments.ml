@@ -61,7 +61,7 @@ let build_group ?(resilience = 0) ?(send_method = T.Pb) ?history cl ~n =
   creator :: joiners
 
 let broadcast_delay ?(cost = Cost_model.default) ?(samples = 20)
-    ?(resilience = 0) ?(net = Medium.clean) ?(fabric = Medium.Shared) ~n ~size
+    ?(resilience = 0) ?(net = Impair.clean) ?(fabric = Medium.Shared) ~n ~size
     ~send_method () =
   let cl = Cluster.create ~cost ~fabric ~n:(max n 2) () in
   let result = ref { mean_ms = 0.; min_ms = 0.; max_ms = 0.; samples = 0 } in
@@ -70,7 +70,8 @@ let broadcast_delay ?(cost = Cost_model.default) ?(samples = 20)
       List.iter (drain_events cl) groups;
       (* Adversarial conditions apply to the measurement loop only;
          setup runs on a quiet net, like the paper's warm testbed. *)
-      if net <> Medium.clean then Medium.set_conditions cl.Cluster.net net;
+      if net <> Impair.clean then
+        Impair.set_conditions (Medium.impair cl.Cluster.net) net;
       (* The paper measures a sender on a different machine than the
          sequencer. *)
       let sender = if n > 1 then List.nth groups 1 else List.hd groups in
@@ -87,7 +88,7 @@ let broadcast_delay ?(cost = Cost_model.default) ?(samples = 20)
             (* Under injected loss a send may exhaust its bounded
                retries; that sample is simply not a delay.  On a clean
                net a failure is a real bug. *)
-            if net = Medium.clean then
+            if net = Impair.clean then
               failwith ("send failed: " ^ T.error_to_string e));
         (* A short pause between sends, as in a measurement loop. *)
         Engine.sleep cl.Cluster.engine (Time.us 200)

@@ -16,7 +16,7 @@ val broadcast_delay :
   ?cost:Amoeba_net.Cost_model.t ->
   ?samples:int ->
   ?resilience:int ->
-  ?net:Amoeba_net.Ether.conditions ->
+  ?net:Amoeba_net.Impair.conditions ->
   ?fabric:Amoeba_net.Medium.spec ->
   n:int ->
   size:int ->

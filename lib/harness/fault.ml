@@ -54,28 +54,28 @@ let push (c : Cluster.t) l v dur =
 
 type layers = {
   loss : float layer;
-  gilbert : Medium.gilbert option layer;
+  gilbert : Impair.gilbert option layer;
   dup : float layer;
   jitter : int layer;
   corrupt : float layer;
 }
 
 let layers (c : Cluster.t) =
-  let e = c.Cluster.net in
+  let e = Medium.impair c.Cluster.net in
   (* Each condition sets only its own field of the then-current
      conditions: bursts of different kinds compose. *)
   let cond get set =
     layer
-      ~get:(fun () -> get (Medium.conditions e))
-      ~set:(fun v -> Medium.set_conditions e (set (Medium.conditions e) v))
+      ~get:(fun () -> get (Impair.conditions e))
+      ~set:(fun v -> Impair.set_conditions e (set (Impair.conditions e) v))
   in
   {
-    loss = layer ~get:(fun () -> Medium.loss_rate e) ~set:(Medium.set_loss_rate e);
-    gilbert = cond (fun k -> k.Medium.gilbert) (fun k v -> { k with Medium.gilbert = v });
-    dup = cond (fun k -> k.Medium.dup_prob) (fun k v -> { k with Medium.dup_prob = v });
-    jitter = cond (fun k -> k.Medium.jitter_ns) (fun k v -> { k with Medium.jitter_ns = v });
+    loss = layer ~get:(fun () -> Impair.loss_rate e) ~set:(Impair.set_loss_rate e);
+    gilbert = cond (fun k -> k.Impair.gilbert) (fun k v -> { k with Impair.gilbert = v });
+    dup = cond (fun k -> k.Impair.dup_prob) (fun k v -> { k with Impair.dup_prob = v });
+    jitter = cond (fun k -> k.Impair.jitter_ns) (fun k v -> { k with Impair.jitter_ns = v });
     corrupt =
-      cond (fun k -> k.Medium.corrupt_prob) (fun k v -> { k with Medium.corrupt_prob = v });
+      cond (fun k -> k.Impair.corrupt_prob) (fun k v -> { k with Impair.corrupt_prob = v });
   }
 
 let fire ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
@@ -89,13 +89,14 @@ let fire ?(on_restart = fun _ -> ()) ?(on_power_down = fun () -> ())
       end
   | Pause i -> Machine.pause (Cluster.machine c i)
   | Resume i -> Machine.resume (Cluster.machine c i)
-  | Partition (a, b) -> Medium.partition c.Cluster.net a b
-  | Heal -> Medium.heal c.Cluster.net
+  | Partition (a, b) -> Impair.partition (Medium.impair c.Cluster.net) a b
+  | Heal -> Impair.heal (Medium.impair c.Cluster.net)
   | Loss_burst (rate, dur) -> push c layers.loss rate dur
-  | Oneway (src, dst) -> Medium.cut_oneway c.Cluster.net ~src ~dst
+  | Oneway (src, dst) ->
+      Impair.cut_oneway (Medium.impair c.Cluster.net) ~src ~dst
   | Burst (p_gb, p_bg, loss_bad, dur) ->
       push c layers.gilbert
-        (Some { Medium.p_gb; p_bg; loss_good = 0.; loss_bad })
+        (Some { Impair.p_gb; p_bg; loss_good = 0.; loss_bad })
         dur
   | Duplicate (prob, dur) -> push c layers.dup prob dur
   | Jitter (ns, dur) -> push c layers.jitter ns dur

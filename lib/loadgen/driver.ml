@@ -29,7 +29,7 @@ let default =
     routers = 2;
     replication = 2;
     wire_mbps = 100;
-    net = (Medium.Shared, Medium.clean);
+    net = (Medium.Shared, Impair.clean);
     max_batch = 32;
     batch_delay_us = 500;
     pipeline_depth = 4;
@@ -66,7 +66,8 @@ let bring_up ?disk ?durable ?(resilience = 1) ?(record = false)
   in
   let result = ref None in
   Cluster.spawn cl (fun () ->
-      if impair_bring_up then Medium.set_conditions cl.Cluster.net conditions;
+      if impair_bring_up then
+        Impair.set_conditions (Medium.impair cl.Cluster.net) conditions;
       let service =
         Service.deploy cl ~map ~resilience ~pipeline:cfg.pipeline_depth
           ?durable ~record ()
@@ -84,7 +85,7 @@ let bring_up ?disk ?durable ?(resilience = 1) ?(record = false)
          measures steady state under these conditions, not whether
          bring-up survives them (the chaos runs ask for that). *)
       if not impair_bring_up then
-        Medium.set_conditions cl.Cluster.net conditions;
+        Impair.set_conditions (Medium.impair cl.Cluster.net) conditions;
       result := Some (body { cfg; cluster = cl; map; service; routers }));
   (* Step the clock until the body returns: the failure detectors keep
      the event queue non-empty forever, and a fixed horizon would cut

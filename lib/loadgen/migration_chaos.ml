@@ -29,7 +29,7 @@ type spec = {
 let default ~seed =
   {
     mc_seed = seed;
-    mc_net = (Medium.Shared, Medium.clean);
+    mc_net = (Medium.Shared, Amoeba_net.Impair.clean);
     mc_crash_source = false;
     mc_crash_dest = false;
     mc_power_cycle = false;

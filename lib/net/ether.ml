@@ -17,32 +17,6 @@ type port = {
   rx : Frame.t -> unit;
 }
 
-(* Per-link adversarial conditions (see the mli): a [conditions]
-   record describes what one directed src->dst path does to frames;
-   [link_state] adds the Gilbert-Elliott channel state, which is
-   mutable per link so loss stays correlated along one path. *)
-
-type gilbert = {
-  p_gb : float;  (** good -> bad transition probability, per frame *)
-  p_bg : float;  (** bad -> good *)
-  loss_good : float;
-  loss_bad : float;
-}
-
-type conditions = {
-  gilbert : gilbert option;
-  dup_prob : float;
-  jitter_ns : int;
-  corrupt_prob : float;
-}
-
-let clean = { gilbert = None; dup_prob = 0.; jitter_ns = 0; corrupt_prob = 0. }
-
-type link_state = {
-  mutable cond : conditions;
-  mutable ge_bad : bool;  (** current Gilbert-Elliott channel state *)
-}
-
 type t = {
   engine : Engine.t;
   cost : Cost_model.t;
@@ -58,26 +32,7 @@ type t = {
   mutable n_bytes : int;
   mutable n_excessive : int;
   mutable busy_ns : Time.t;
-  mutable drop_fun : (Frame.t -> bool) option;
-  mutable loss_rate : float;
-  mutable n_lost : int;
-  cuts : (int, unit) Hashtbl.t;
-      (** severed station pairs, keyed by {!pair_key}; empty on the
-          quiet-net path so partition checks cost one length read *)
-  mutable n_partition_drops : int;
-  dcuts : (int, unit) Hashtbl.t;  (** one-way cuts, keyed by {!dkey} *)
-  mutable n_oneway_drops : int;
-  default_link : link_state;  (** conditions for links with no override *)
-  links : (int, link_state) Hashtbl.t;  (** per-link overrides, by {!dkey} *)
-  mutable cond_active : bool;
-      (** true iff any directed cut or non-clean condition is
-          installed; with [cuts] empty and this false, delivery takes
-          the original fast loop — the quiet-net guard the bench
-          tracks *)
-  mutable n_cond_lost : int;
-  mutable n_duplicated : int;
-  mutable n_corrupted : int;
-  mutable n_jittered : int;
+  imp : Impair.t;
   mutable win_start : Time.t;
       (** start of the current utilisation window; 0 until the first
           {!reset_utilisation_window}, so legacy whole-run readings
@@ -99,20 +54,7 @@ let create engine cost =
     n_bytes = 0;
     n_excessive = 0;
     busy_ns = Time.zero;
-    drop_fun = None;
-    loss_rate = 0.;
-    n_lost = 0;
-    cuts = Hashtbl.create 8;
-    n_partition_drops = 0;
-    dcuts = Hashtbl.create 8;
-    n_oneway_drops = 0;
-    default_link = { cond = clean; ge_bad = false };
-    links = Hashtbl.create 8;
-    cond_active = false;
-    n_cond_lost = 0;
-    n_duplicated = 0;
-    n_corrupted = 0;
-    n_jittered = 0;
+    imp = Impair.create engine;
     win_start = Time.zero;
     win_busy = Time.zero;
   }
@@ -131,151 +73,16 @@ let wake_all t =
   Queue.iter (fun resume -> resume ()) t.waiters;
   Queue.clear t.waiters
 
-let injected_drop t frame =
-  (match t.drop_fun with Some f -> f frame | None -> false)
-  || (t.loss_rate > 0.
-     && Random.State.float (Engine.rng t.engine) 1.0 < t.loss_rate)
-
-(* Partitions: a symmetric set of severed station pairs.  Stations stay
-   attached and keep transmitting (carrier sense and collisions are
-   physical and unaffected); delivery to a station on the far side of a
-   cut is silently suppressed, as if a bridge between segments went
-   down. *)
-let pair_key a b = if a < b then (a lsl 16) lor b else (b lsl 16) lor a
-
-let partitioned t a b = a <> b && Hashtbl.mem t.cuts (pair_key a b)
-
-let partition_pair t a b = if a <> b then Hashtbl.replace t.cuts (pair_key a b) ()
-
-let heal_pair t a b = Hashtbl.remove t.cuts (pair_key a b)
-
-let partition t side_a side_b =
-  List.iter (fun a -> List.iter (fun b -> partition_pair t a b) side_b) side_a
-
-(* One-way cuts sever a single direction: frames from [src] never
-   reach [dst], while the reverse path stays up.  Models a failing
-   transceiver or an asymmetric routing fault — the nastiest partition
-   shape, because [dst] still hears everyone and believes the net is
-   healthy. *)
-let dkey src dst = (src lsl 16) lor dst
-
-let refresh_cond_active t =
-  t.cond_active <-
-    Hashtbl.length t.dcuts > 0
-    || t.default_link.cond <> clean
-    || Hashtbl.length t.links > 0
-
-let cut_oneway t ~src ~dst =
-  if src <> dst then Hashtbl.replace t.dcuts (dkey src dst) ();
-  refresh_cond_active t
-
-let heal_oneway t ~src ~dst =
-  Hashtbl.remove t.dcuts (dkey src dst);
-  refresh_cond_active t
-
-let oneway_cut t ~src ~dst = Hashtbl.mem t.dcuts (dkey src dst)
-
-let heal t =
-  Hashtbl.reset t.cuts;
-  Hashtbl.reset t.dcuts;
-  refresh_cond_active t
-
-let partition_drops t = t.n_partition_drops
-let oneway_drops t = t.n_oneway_drops
-
-let set_conditions t c =
-  t.default_link.cond <- c;
-  t.default_link.ge_bad <- false;
-  refresh_cond_active t
-
-let conditions t = t.default_link.cond
-
-let set_link_conditions t ~src ~dst c =
-  (match c with
-  | None -> Hashtbl.remove t.links (dkey src dst)
-  | Some c -> Hashtbl.replace t.links (dkey src dst) { cond = c; ge_bad = false });
-  refresh_cond_active t
-
-let link_conditions t ~src ~dst =
-  match Hashtbl.find_opt t.links (dkey src dst) with
-  | Some ls -> Some ls.cond
-  | None -> None
-
-let cond_losses t = t.n_cond_lost
-let duplicates_injected t = t.n_duplicated
-let corruptions_injected t = t.n_corrupted
-let frames_jittered t = t.n_jittered
-
-let link_for t ~src ~dst =
-  match Hashtbl.find_opt t.links (dkey src dst) with
-  | Some ls -> ls
-  | None -> t.default_link
-
-(* Advance the Gilbert-Elliott channel one frame, then draw loss in
-   the state just entered.  Channel state lives on the link, so a
-   burst that starts for one frame tends to swallow its successors. *)
-let gilbert_loss t ls g =
-  let rng = Engine.rng t.engine in
-  if ls.ge_bad then begin
-    if Random.State.float rng 1.0 < g.p_bg then ls.ge_bad <- false
-  end
-  else if g.p_gb > 0. && Random.State.float rng 1.0 < g.p_gb then
-    ls.ge_bad <- true;
-  let p = if ls.ge_bad then g.loss_bad else g.loss_good in
-  p > 0. && Random.State.float rng 1.0 < p
-
-(* Deliver one copy of [frame] to [port], applying corruption and
-   delivery jitter.  Jittered frames run in the root group: frames on
-   the wire outlive their sender, and a station's crash must not
-   cancel deliveries to its peers. *)
-let deliver_copy t port c frame =
-  let rng = Engine.rng t.engine in
-  let frame =
-    if c.corrupt_prob > 0. && Random.State.float rng 1.0 < c.corrupt_prob then begin
-      t.n_corrupted <- t.n_corrupted + 1;
-      let byte = Random.State.int rng (max 1 frame.Frame.size_on_wire) in
-      { frame with Frame.body = Frame.Corrupted { orig = frame.Frame.body; byte } }
-    end
-    else frame
-  in
-  if c.jitter_ns > 0 then begin
-    let delay = Random.State.int rng (c.jitter_ns + 1) in
-    if delay > 0 then begin
-      t.n_jittered <- t.n_jittered + 1;
-      ignore
-        (Engine.schedule ~group:(Engine.root_group t.engine) t.engine
-           ~after:delay (fun () -> port.rx frame))
-    end
-    else port.rx frame
-  end
-  else port.rx frame
-
-let deliver_conditioned t port frame =
-  let src = frame.Frame.src in
-  let ls = link_for t ~src ~dst:port.id in
-  let c = ls.cond in
-  let lost = match c.gilbert with Some g -> gilbert_loss t ls g | None -> false in
-  if lost then t.n_cond_lost <- t.n_cond_lost + 1
-  else begin
-    deliver_copy t port c frame;
-    if
-      c.dup_prob > 0.
-      && Random.State.float (Engine.rng t.engine) 1.0 < c.dup_prob
-    then begin
-      t.n_duplicated <- t.n_duplicated + 1;
-      deliver_copy t port c frame
-    end
-  end
+let impair t = t.imp
 
 let deliver t frame =
-  if injected_drop t frame then t.n_lost <- t.n_lost + 1
-  else begin
+  if not (Impair.lose t.imp frame) then begin
     t.n_frames <- t.n_frames + 1;
     t.n_bytes <- t.n_bytes + frame.Frame.size_on_wire;
     (* Oldest port first, for deterministic delivery order. *)
     let ports = t.ports_oldest in
     let src = frame.Frame.src in
-    if Hashtbl.length t.cuts = 0 && not t.cond_active then
+    if Impair.quiet t.imp then
       (* Quiet net: no partitions, no directed cuts, no conditions.
          Two cheap reads guard the hot loop; the bench holds this path
          to < 5% of the pre-conditions cost. *)
@@ -286,13 +93,7 @@ let deliver t frame =
     else
       for i = 0 to Array.length ports - 1 do
         let port = Array.unsafe_get ports i in
-        if port.id <> src then
-          if partitioned t src port.id then
-            t.n_partition_drops <- t.n_partition_drops + 1
-          else if
-            Hashtbl.length t.dcuts > 0 && Hashtbl.mem t.dcuts (dkey src port.id)
-          then t.n_oneway_drops <- t.n_oneway_drops + 1
-          else deliver_conditioned t port frame
+        if port.id <> src then Impair.deliver t.imp ~dst:port.id port.rx frame
       done
   end
 
@@ -380,10 +181,6 @@ let transmit t port frame =
   ignore port;
   attempt 1
 
-let set_drop_fun t f = t.drop_fun <- f
-let set_loss_rate t r = t.loss_rate <- r
-let loss_rate t = t.loss_rate
-let frames_lost t = t.n_lost
 let collisions t = t.n_collisions
 let frames_delivered t = t.n_frames
 let bytes_delivered t = t.n_bytes

@@ -31,120 +31,10 @@ val transmit : t -> port -> Frame.t -> [ `Sent | `Dropped ]
     (excessive collisions); reliability above that is the protocols'
     job.  Must be called from a process. *)
 
-(** {1 Fault injection} *)
-
-val set_drop_fun : t -> (Frame.t -> bool) option -> unit
-(** [set_drop_fun t (Some f)] silently discards every successfully
-    transmitted frame for which [f] returns true — the "lost message"
-    case the negative-acknowledgement machinery exists for.  The
-    sender still observes [`Sent].  [None] disables injection. *)
-
-val set_loss_rate : t -> float -> unit
-(** Random independent frame loss with the given probability, drawn
-    from the engine's deterministic RNG.  Composes with
-    {!set_drop_fun}. *)
-
-val loss_rate : t -> float
-(** Current {!set_loss_rate} setting, so a transient burst can restore
-    whatever rate was in force before it. *)
-
-val frames_lost : t -> int
-(** Frames discarded by fault injection. *)
-
-(** {2 Partitions}
-
-    A beyond-paper extension: the paper's testbed was one shared
-    segment and only crash failures were modelled, but the recovery
-    protocol is also exercised by members that are alive yet
-    unreachable.  A partition severs a set of station {e pairs};
-    transmission succeeds (the sender observes [`Sent]) and delivery
-    to stations across a cut is silently suppressed. *)
-
-val partition : t -> int list -> int list -> unit
-(** [partition t side_a side_b] severs every pair with one station in
-    [side_a] and the other in [side_b].  Pairs are symmetric. *)
-
-val partition_pair : t -> int -> int -> unit
-
-val heal_pair : t -> int -> int -> unit
-
-val heal : t -> unit
-(** Removes every cut. *)
-
-val partitioned : t -> int -> int -> bool
-
-val partition_drops : t -> int
-(** Deliveries suppressed by partitions (counted per receiver, unlike
-    {!frames_lost} which counts whole frames). *)
-
-(** {2 One-way cuts}
-
-    A directed partition: frames from [src] never reach [dst] while
-    the reverse direction stays up — a failing transceiver or
-    asymmetric routing fault.  Nastier than a symmetric cut because
-    the deaf side still hears everyone and believes the net healthy. *)
-
-val cut_oneway : t -> src:int -> dst:int -> unit
-
-val heal_oneway : t -> src:int -> dst:int -> unit
-
-val oneway_cut : t -> src:int -> dst:int -> bool
-
-val oneway_drops : t -> int
-(** Deliveries suppressed by one-way cuts (counted per receiver). *)
-
-(** {2 Link conditions}
-
-    Adversarial per-link behaviour beyond uniform loss: correlated
-    (bursty) loss via a two-state Gilbert–Elliott channel,
-    duplication, reordering via per-frame delivery jitter, and payload
-    corruption.  Conditions apply per {e directed} link; a default
-    applies to every link without an override.  With no conditions,
-    directed cuts or partitions installed, delivery takes the original
-    fast path — the guard is two cheap reads per frame. *)
-
-type gilbert = {
-  p_gb : float;  (** good → bad transition probability, per frame *)
-  p_bg : float;  (** bad → good *)
-  loss_good : float;  (** loss probability while in the good state *)
-  loss_bad : float;  (** loss probability while in the bad state *)
-}
-
-type conditions = {
-  gilbert : gilbert option;  (** bursty loss; [None] = lossless *)
-  dup_prob : float;  (** probability a delivered frame arrives twice *)
-  jitter_ns : int;
-      (** each delivery is delayed by a uniform draw from
-          [0, jitter_ns], so later frames can overtake earlier ones *)
-  corrupt_prob : float;
-      (** probability a delivered copy has a bit flipped at a random
-          byte offset; receivers' checksums must catch it *)
-}
-
-val clean : conditions
-(** No loss, duplication, jitter or corruption. *)
-
-val set_conditions : t -> conditions -> unit
-(** Sets the default conditions for every link without a per-link
-    override, and resets the default Gilbert–Elliott channel to the
-    good state. *)
-
-val conditions : t -> conditions
-
-val set_link_conditions : t -> src:int -> dst:int -> conditions option -> unit
-(** Overrides the conditions on one directed link ([None] removes the
-    override, falling back to the default). *)
-
-val link_conditions : t -> src:int -> dst:int -> conditions option
-
-val cond_losses : t -> int
-(** Deliveries suppressed by Gilbert–Elliott loss (per receiver). *)
-
-val duplicates_injected : t -> int
-
-val corruptions_injected : t -> int
-
-val frames_jittered : t -> int
+val impair : t -> Impair.t
+(** The segment's hostile-link model: whole-frame loss applies where a
+    transmission ends, partitions, cuts and link conditions per
+    receiving station. *)
 
 (** {1 Statistics} *)
 

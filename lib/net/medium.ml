@@ -10,21 +10,21 @@ type spec =
   | Shared
   | Switched of Switch.profile
 
-type gilbert = Ether.gilbert = {
+type gilbert = Impair.gilbert = {
   p_gb : float;
   p_bg : float;
   loss_good : float;
   loss_bad : float;
 }
 
-type conditions = Ether.conditions = {
+type conditions = Impair.conditions = {
   gilbert : gilbert option;
   dup_prob : float;
   jitter_ns : int;
   corrupt_prob : float;
 }
 
-let clean = Ether.clean
+let clean = Impair.clean
 
 let create engine cost = function
   | Shared -> Ether (Ether.create engine cost)
@@ -130,103 +130,8 @@ let leave_multicast t port g =
   | Switch s, Switch_port p -> Switch.leave_multicast s p g
   | _ -> invalid_arg "Medium.leave_multicast: port from another medium"
 
-let set_drop_fun t f =
-  match t with
-  | Ether e -> Ether.set_drop_fun e f
-  | Switch s -> Switch.set_drop_fun s f
-
-let set_loss_rate t r =
-  match t with
-  | Ether e -> Ether.set_loss_rate e r
-  | Switch s -> Switch.set_loss_rate s r
-
-let loss_rate = function
-  | Ether e -> Ether.loss_rate e
-  | Switch s -> Switch.loss_rate s
-
-let frames_lost = function
-  | Ether e -> Ether.frames_lost e
-  | Switch s -> Switch.frames_lost s
-
-let partition t a b =
-  match t with
-  | Ether e -> Ether.partition e a b
-  | Switch s -> Switch.partition s a b
-
-let partition_pair t a b =
-  match t with
-  | Ether e -> Ether.partition_pair e a b
-  | Switch s -> Switch.partition_pair s a b
-
-let heal_pair t a b =
-  match t with
-  | Ether e -> Ether.heal_pair e a b
-  | Switch s -> Switch.heal_pair s a b
-
-let heal = function Ether e -> Ether.heal e | Switch s -> Switch.heal s
-
-let partitioned t a b =
-  match t with
-  | Ether e -> Ether.partitioned e a b
-  | Switch s -> Switch.partitioned s a b
-
-let partition_drops = function
-  | Ether e -> Ether.partition_drops e
-  | Switch s -> Switch.partition_drops s
-
-let cut_oneway t ~src ~dst =
-  match t with
-  | Ether e -> Ether.cut_oneway e ~src ~dst
-  | Switch s -> Switch.cut_oneway s ~src ~dst
-
-let heal_oneway t ~src ~dst =
-  match t with
-  | Ether e -> Ether.heal_oneway e ~src ~dst
-  | Switch s -> Switch.heal_oneway s ~src ~dst
-
-let oneway_cut t ~src ~dst =
-  match t with
-  | Ether e -> Ether.oneway_cut e ~src ~dst
-  | Switch s -> Switch.oneway_cut s ~src ~dst
-
-let oneway_drops = function
-  | Ether e -> Ether.oneway_drops e
-  | Switch s -> Switch.oneway_drops s
-
-let set_conditions t c =
-  match t with
-  | Ether e -> Ether.set_conditions e c
-  | Switch s -> Switch.set_conditions s c
-
-let conditions = function
-  | Ether e -> Ether.conditions e
-  | Switch s -> Switch.conditions s
-
-let set_link_conditions t ~src ~dst c =
-  match t with
-  | Ether e -> Ether.set_link_conditions e ~src ~dst c
-  | Switch s -> Switch.set_link_conditions s ~src ~dst c
-
-let link_conditions t ~src ~dst =
-  match t with
-  | Ether e -> Ether.link_conditions e ~src ~dst
-  | Switch s -> Switch.link_conditions s ~src ~dst
-
-let cond_losses = function
-  | Ether e -> Ether.cond_losses e
-  | Switch s -> Switch.cond_losses s
-
-let duplicates_injected = function
-  | Ether e -> Ether.duplicates_injected e
-  | Switch s -> Switch.duplicates_injected s
-
-let corruptions_injected = function
-  | Ether e -> Ether.corruptions_injected e
-  | Switch s -> Switch.corruptions_injected s
-
-let frames_jittered = function
-  | Ether e -> Ether.frames_jittered e
-  | Switch s -> Switch.frames_jittered s
+let impair = function Ether e -> Ether.impair e | Switch s -> Switch.impair s
+let set_conditions t c = Impair.set_conditions (impair t) c
 
 let collisions = function
   | Ether e -> Ether.collisions e

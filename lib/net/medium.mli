@@ -20,16 +20,15 @@ type spec =
   | Shared  (** one CSMA/CD Ether segment — the paper's testbed *)
   | Switched of Switch.profile
 
-(** Re-exported from {!Ether} (type-equal), so condition records work
-    unchanged against either fabric. *)
-type gilbert = Ether.gilbert = {
+(** Re-exported from {!Impair} (type-equal). *)
+type gilbert = Impair.gilbert = {
   p_gb : float;
   p_bg : float;
   loss_good : float;
   loss_bad : float;
 }
 
-type conditions = Ether.conditions = {
+type conditions = Impair.conditions = {
   gilbert : gilbert option;
   dup_prob : float;
   jitter_ns : int;
@@ -88,52 +87,13 @@ val join_multicast : t -> port -> int -> unit
 val leave_multicast : t -> port -> int -> unit
 (** The matching leave report; a no-op on the shared wire. *)
 
-(** {1 Fault injection} — dispatched to the underlying fabric; see
-    {!Ether} for the full semantics of each call. *)
-
-val set_drop_fun : t -> (Frame.t -> bool) option -> unit
-
-val set_loss_rate : t -> float -> unit
-
-val loss_rate : t -> float
-
-val frames_lost : t -> int
-
-val partition : t -> int list -> int list -> unit
-
-val partition_pair : t -> int -> int -> unit
-
-val heal_pair : t -> int -> int -> unit
-
-val heal : t -> unit
-
-val partitioned : t -> int -> int -> bool
-
-val partition_drops : t -> int
-
-val cut_oneway : t -> src:int -> dst:int -> unit
-
-val heal_oneway : t -> src:int -> dst:int -> unit
-
-val oneway_cut : t -> src:int -> dst:int -> bool
-
-val oneway_drops : t -> int
+val impair : t -> Impair.t
+(** The fabric's hostile-link model (see {!Impair}). *)
 
 val set_conditions : t -> conditions -> unit
-
-val conditions : t -> conditions
-
-val set_link_conditions : t -> src:int -> dst:int -> conditions option -> unit
-
-val link_conditions : t -> src:int -> dst:int -> conditions option
-
-val cond_losses : t -> int
-
-val duplicates_injected : t -> int
-
-val corruptions_injected : t -> int
-
-val frames_jittered : t -> int
+(** [Impair.set_conditions (impair t)].  Kept, with {!clean} and the
+    record types above, for the benchmark in [perfbench/], which builds
+    against this interface. *)
 
 (** {1 Statistics} *)
 

@@ -69,11 +69,6 @@ type station = {
   egress : fifo;  (** switch -> host *)
 }
 
-type link_state = {
-  mutable cond : Ether.conditions;
-  mutable ge_bad : bool;
-}
-
 type uplink = {
   up : fifo;  (** leaf segment -> core *)
   down : fifo;  (** core -> leaf segment *)
@@ -90,19 +85,7 @@ type t = {
           attach order; groups nobody joined are absent *)
   mutable next_port : int;
   uplinks : uplink array;  (** one per segment; [||] when flat *)
-  mutable drop_fun : (Frame.t -> bool) option;
-  mutable loss_rate : float;
-  mutable n_lost : int;
-  cuts : (int, unit) Hashtbl.t;
-  mutable n_partition_drops : int;
-  dcuts : (int, unit) Hashtbl.t;
-  mutable n_oneway_drops : int;
-  default_link : link_state;
-  links : (int, link_state) Hashtbl.t;
-  mutable n_cond_lost : int;
-  mutable n_duplicated : int;
-  mutable n_corrupted : int;
-  mutable n_jittered : int;
+  imp : Impair.t;
   mutable n_frames : int;
   mutable n_bytes : int;
   mutable n_uplink_frames : int;
@@ -128,19 +111,7 @@ let create engine cost profile =
                up = fifo cost.Cost_model.switch_uplink_frames;
                down = fifo cost.Cost_model.switch_uplink_frames;
              }));
-    drop_fun = None;
-    loss_rate = 0.;
-    n_lost = 0;
-    cuts = Hashtbl.create 8;
-    n_partition_drops = 0;
-    dcuts = Hashtbl.create 8;
-    n_oneway_drops = 0;
-    default_link = { cond = Ether.clean; ge_bad = false };
-    links = Hashtbl.create 8;
-    n_cond_lost = 0;
-    n_duplicated = 0;
-    n_corrupted = 0;
-    n_jittered = 0;
+    imp = Impair.create engine;
     n_frames = 0;
     n_bytes = 0;
     n_uplink_frames = 0;
@@ -215,126 +186,16 @@ let attach ?id t ~rx =
 
 let port_id p = p.id
 
-(* ----- fault injection state (same model as Ether) ----- *)
+let impair t = t.imp
 
-let injected_drop t frame =
-  (match t.drop_fun with Some f -> f frame | None -> false)
-  || (t.loss_rate > 0.
-     && Random.State.float (Engine.rng t.engine) 1.0 < t.loss_rate)
-
-let pair_key a b = if a < b then (a lsl 16) lor b else (b lsl 16) lor a
-let dkey src dst = (src lsl 16) lor dst
-
-let partitioned t a b = a <> b && Hashtbl.mem t.cuts (pair_key a b)
-
-let partition_pair t a b = if a <> b then Hashtbl.replace t.cuts (pair_key a b) ()
-
-let heal_pair t a b = Hashtbl.remove t.cuts (pair_key a b)
-
-let partition t side_a side_b =
-  List.iter (fun a -> List.iter (fun b -> partition_pair t a b) side_b) side_a
-
-let cut_oneway t ~src ~dst =
-  if src <> dst then Hashtbl.replace t.dcuts (dkey src dst) ()
-
-let heal_oneway t ~src ~dst = Hashtbl.remove t.dcuts (dkey src dst)
-
-let oneway_cut t ~src ~dst = Hashtbl.mem t.dcuts (dkey src dst)
-
-let heal t =
-  Hashtbl.reset t.cuts;
-  Hashtbl.reset t.dcuts
-
-let set_conditions t c =
-  t.default_link.cond <- c;
-  t.default_link.ge_bad <- false
-
-let conditions t = t.default_link.cond
-
-let set_link_conditions t ~src ~dst c =
-  match c with
-  | None -> Hashtbl.remove t.links (dkey src dst)
-  | Some c -> Hashtbl.replace t.links (dkey src dst) { cond = c; ge_bad = false }
-
-let link_conditions t ~src ~dst =
-  match Hashtbl.find_opt t.links (dkey src dst) with
-  | Some ls -> Some ls.cond
-  | None -> None
-
-let link_for t ~src ~dst =
-  match Hashtbl.find_opt t.links (dkey src dst) with
-  | Some ls -> ls
-  | None -> t.default_link
-
-let gilbert_loss t ls (g : Ether.gilbert) =
-  let rng = Engine.rng t.engine in
-  if ls.ge_bad then begin
-    if Random.State.float rng 1.0 < g.Ether.p_bg then ls.ge_bad <- false
-  end
-  else if g.Ether.p_gb > 0. && Random.State.float rng 1.0 < g.Ether.p_gb then
-    ls.ge_bad <- true;
-  let p = if ls.ge_bad then g.Ether.loss_bad else g.Ether.loss_good in
-  p > 0. && Random.State.float rng 1.0 < p
-
-(* ----- delivery (the switch side of the host downlink) ----- *)
-
-(* One copy to the station's port, applying corruption and delivery
-   jitter.  Jittered copies run in the root group, like everything
-   else the fabric schedules: frames inside the switch outlive their
-   sender. *)
-let deliver_copy t st (c : Ether.conditions) frame =
-  let rng = Engine.rng t.engine in
-  let frame =
-    if
-      c.Ether.corrupt_prob > 0.
-      && Random.State.float rng 1.0 < c.Ether.corrupt_prob
-    then begin
-      t.n_corrupted <- t.n_corrupted + 1;
-      let byte = Random.State.int rng (max 1 frame.Frame.size_on_wire) in
-      { frame with Frame.body = Frame.Corrupted { orig = frame.Frame.body; byte } }
-    end
-    else frame
-  in
-  if c.Ether.jitter_ns > 0 then begin
-    let delay = Random.State.int rng (c.Ether.jitter_ns + 1) in
-    if delay > 0 then begin
-      t.n_jittered <- t.n_jittered + 1;
-      ignore
-        (Engine.schedule ~group:(Engine.root_group t.engine) t.engine
-           ~after:delay (fun () -> st.port.rx frame))
-    end
-    else st.port.rx frame
-  end
-  else st.port.rx frame
-
-(* Apply partitions, one-way cuts and per-directed-link conditions at
-   the moment the egress port hands the frame to the station — the
-   same observation point as the Ether's receiver loop, so the fault
-   DSL behaves identically on both fabrics. *)
+(* Partitions, one-way cuts and per-directed-link conditions apply
+   where the egress port hands the frame to the station, the same
+   observation point as the Ether's receiver loop.  A jittered copy
+   lands on the port attached when its delay expires, so a station
+   re-attached in between still receives it. *)
 let deliver_station t st frame =
-  let src = frame.Frame.src in
-  if Hashtbl.length t.cuts > 0 && partitioned t src st.sid then
-    t.n_partition_drops <- t.n_partition_drops + 1
-  else if Hashtbl.length t.dcuts > 0 && Hashtbl.mem t.dcuts (dkey src st.sid)
-  then t.n_oneway_drops <- t.n_oneway_drops + 1
-  else begin
-    let ls = link_for t ~src ~dst:st.sid in
-    let c = ls.cond in
-    let lost =
-      match c.Ether.gilbert with Some g -> gilbert_loss t ls g | None -> false
-    in
-    if lost then t.n_cond_lost <- t.n_cond_lost + 1
-    else begin
-      deliver_copy t st c frame;
-      if
-        c.Ether.dup_prob > 0.
-        && Random.State.float (Engine.rng t.engine) 1.0 < c.Ether.dup_prob
-      then begin
-        t.n_duplicated <- t.n_duplicated + 1;
-        deliver_copy t st c frame
-      end
-    end
-  end
+  if Impair.quiet t.imp then st.port.rx frame
+  else Impair.deliver t.imp ~dst:st.sid (fun f -> st.port.rx f) frame
 
 (* ----- the queued forwarding path -----
 
@@ -480,8 +341,7 @@ let rec ingress_service t st () =
    [deliver]; then the bounded ingress FIFO either accepts or
    tail-drops it. *)
 let ingress_accept t sid frame =
-  if injected_drop t frame then t.n_lost <- t.n_lost + 1
-  else begin
+  if not (Impair.lose t.imp frame) then begin
     t.n_frames <- t.n_frames + 1;
     t.n_bytes <- t.n_bytes + frame.Frame.size_on_wire;
     let st = Hashtbl.find t.stations sid in
@@ -514,16 +374,6 @@ let transmit t port frame =
 
 (* ----- statistics ----- *)
 
-let set_drop_fun t f = t.drop_fun <- f
-let set_loss_rate t r = t.loss_rate <- r
-let loss_rate t = t.loss_rate
-let frames_lost t = t.n_lost
-let partition_drops t = t.n_partition_drops
-let oneway_drops t = t.n_oneway_drops
-let cond_losses t = t.n_cond_lost
-let duplicates_injected t = t.n_duplicated
-let corruptions_injected t = t.n_corrupted
-let frames_jittered t = t.n_jittered
 let frames_delivered t = t.n_frames
 let bytes_delivered t = t.n_bytes
 let uplink_frames t = t.n_uplink_frames

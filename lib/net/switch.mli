@@ -76,58 +76,12 @@ val transmit : t -> port -> Frame.t -> [ `Sent | `Dropped ]
     always [`Sent]; loss happens inside the fabric, visible in the
     drop counters.  Must be called from a process. *)
 
-(** {1 Fault injection}
-
-    The same per-directed-link model as the shared wire — partitions,
-    one-way cuts, Gilbert–Elliott bursts, duplication, jitter,
-    corruption — applied where the egress port hands the frame to the
-    station, so the fault DSL and chaos swarms behave identically on
-    both fabrics. *)
-
-val set_drop_fun : t -> (Frame.t -> bool) option -> unit
-
-val set_loss_rate : t -> float -> unit
-
-val loss_rate : t -> float
-
-val frames_lost : t -> int
-
-val partition : t -> int list -> int list -> unit
-
-val partition_pair : t -> int -> int -> unit
-
-val heal_pair : t -> int -> int -> unit
-
-val heal : t -> unit
-
-val partitioned : t -> int -> int -> bool
-
-val partition_drops : t -> int
-
-val cut_oneway : t -> src:int -> dst:int -> unit
-
-val heal_oneway : t -> src:int -> dst:int -> unit
-
-val oneway_cut : t -> src:int -> dst:int -> bool
-
-val oneway_drops : t -> int
-
-val set_conditions : t -> Ether.conditions -> unit
-
-val conditions : t -> Ether.conditions
-
-val set_link_conditions :
-  t -> src:int -> dst:int -> Ether.conditions option -> unit
-
-val link_conditions : t -> src:int -> dst:int -> Ether.conditions option
-
-val cond_losses : t -> int
-
-val duplicates_injected : t -> int
-
-val corruptions_injected : t -> int
-
-val frames_jittered : t -> int
+val impair : t -> Impair.t
+(** The fabric's hostile-link model, the same one the shared wire
+    uses: whole-frame loss applies at store-and-forward arrival,
+    partitions, cuts and link conditions where the egress port hands
+    a copy to its station, so the fault DSL and chaos swarms behave
+    identically on both fabrics. *)
 
 (** {1 Statistics} *)
 

@@ -146,10 +146,7 @@ let read t r ~stale k =
   t.n_reads <- t.n_reads + 1;
   let state =
     match R.durable_snapshot r.r_rsm with
-    | Some (st, _) when stale ->
-        let sc = Api.storage_counters (R.group r.r_rsm) in
-        sc.Api.stale_reads <- sc.Api.stale_reads + 1;
-        st
+    | Some (st, _) when stale -> st
     | _ -> R.state r.r_rsm
   in
   match Kv.Smap.find_opt k state with
@@ -473,31 +470,6 @@ let recover cl ~map ~durable ?resilience ?send_method ?pipeline ?record
       ()
   in
   t.recovery <- reports;
-  (* Surface what recovery found through each replica's own group-info
-     counters, so GetInfoGroup tells the whole durability story. *)
-  List.iter
-    (fun sr ->
-      List.iter
-        (fun hr ->
-          match hr.hr_stats with
-          | None -> ()
-          | Some st -> (
-              match
-                List.find_opt
-                  (fun r -> r.r_host = hr.hr_host)
-                  t.replicas.(sr.sr_shard)
-              with
-              | None -> ()
-              | Some r ->
-                  let sc = Api.storage_counters (R.group r.r_rsm) in
-                  sc.Api.wal_records_replayed <-
-                    sc.Api.wal_records_replayed + st.Rsm.records_replayed;
-                  sc.Api.torn_tails_truncated <-
-                    sc.Api.torn_tails_truncated + st.Rsm.torn_tails;
-                  sc.Api.checksum_rejects <-
-                    sc.Api.checksum_rejects + st.Rsm.checksum_rejects))
-        sr.sr_hosts)
-    reports;
   t
 
 (* ------------------------------------------------------------------ *)

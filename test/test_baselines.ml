@@ -134,7 +134,7 @@ let test_cm_loss_recovery () =
       Engine.sleep cl.Cluster.engine (Time.ms 100);
       (* Drop one data frame; the retransmission machinery repairs. *)
       let dropped = ref false in
-      Medium.set_drop_fun cl.Cluster.net
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
         (Some
            (fun frame ->
              match Amoeba_flip.Flip.packet_of_frame frame with

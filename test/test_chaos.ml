@@ -103,7 +103,7 @@ let swarm_case ~net ~pipeline ~ops_per_send () =
   QCheck.make ~print ~shrink gen
 
 (* 120 drawn cases, each run with the swarm's own net and batching. *)
-let swarm ~name ?(net = Medium.clean) ?(pipeline = 1) ?(ops_per_send = 1) () =
+let swarm ~name ?(net = Impair.clean) ?(pipeline = 1) ?(ops_per_send = 1) () =
   QCheck.Test.make ~name ~count:120
     (swarm_case ~net ~pipeline ~ops_per_send ())
     (fun (n, r, m, fabric, seed, sched) ->
@@ -238,7 +238,7 @@ let power_swarm_case =
   let print (n, r, m, fabric, seed, hostile, sched) =
     let net =
       Medium.net_to_string
-        (fabric, if hostile then adversarial_net else Medium.clean)
+        (fabric, if hostile then adversarial_net else Impair.clean)
     in
     Printf.sprintf
       "n=%d r=%d method=%s seed=%d net=%s (replay: amoeba chaos --seed %d -m \
@@ -261,7 +261,7 @@ let prop_power_cycle_swarm =
          then an ordinary durable run, still a valid case *)
       Chaos.ok
         (Chaos.run ~n ~resilience:r ~send_method:m ~schedule:sched
-           ~net:(if hostile then adversarial_net else Medium.clean)
+           ~net:(if hostile then adversarial_net else Impair.clean)
            ~fabric ~disk:Cost_model.ssd ~seed ()))
 
 (* Regression (found by the fabric swarm, reproduces on the shared
@@ -308,7 +308,8 @@ let test_overlapping_bursts_end_on_time () =
     (fun ms ->
       ignore
         (Engine.schedule cl.Cluster.engine ~after:(Time.ms ms) (fun () ->
-             rates := Medium.loss_rate cl.Cluster.net :: !rates)))
+             let imp = Medium.impair cl.Cluster.net in
+             rates := Impair.loss_rate imp :: !rates)))
     [ 30; 65; 150; 300 ];
   Cluster.run ~until:(Time.sec 1) cl;
   Alcotest.(check (list (float 0.))) "rate at 30, 65, 150 and 300 ms"
@@ -343,6 +344,21 @@ let test_flush_waits_for_stuck_sender () =
       ~seed:2871 ()
   in
   Alcotest.(check bool) "invariants hold" true (Chaos.ok o)
+
+(* Regression: the report counted a send that died with its machine as
+   stuck.  At seed 207 machine 2 crashes at 402.5 ms with its send o2.2
+   in flight; that send is lost with the machine, and no send on a
+   machine alive at the end is left waiting. *)
+let test_crashed_senders_send_is_lost_not_stuck () =
+  let o =
+    Chaos.run ~n:3 ~resilience:1 ~send_method:T.Pb ~net:adversarial_net
+      ~seed:207 ()
+  in
+  Alcotest.(check bool) "invariants hold" true (Chaos.ok o);
+  Alcotest.(check int) "lost with its machine" 1 o.Chaos.sends_lost;
+  Alcotest.(check int) "none stuck" 0
+    (o.Chaos.sends_started - o.Chaos.sends_completed - o.Chaos.sends_aborted
+   - o.Chaos.sends_lost)
 
 let test_multigroup_invariants_per_group () =
   (* Three concurrent groups share the wire (sequencers on machines 0,
@@ -444,7 +460,7 @@ let test_resilient_sends_under_loss () =
          that no send exhausts its bounded retries (probe_retries
          attempts) under this seed — a send that loses every attempt
          legitimately errors with Sequencer_unreachable. *)
-      Medium.set_loss_rate cl.Cluster.net 0.12;
+      Impair.set_loss_rate (Medium.impair cl.Cluster.net) 0.12;
       List.iteri
         (fun i g ->
           Cluster.spawn cl (fun () ->
@@ -455,7 +471,7 @@ let test_resilient_sends_under_loss () =
               done))
         groups;
       Engine.sleep cl.Cluster.engine (Time.sec 5);
-      Medium.set_loss_rate cl.Cluster.net 0.;
+      Impair.set_loss_rate (Medium.impair cl.Cluster.net) 0.;
       ignore (check_ok "flush" (Api.send_to_group g1 (body "flush")));
       Engine.sleep cl.Cluster.engine (Time.sec 2);
       let streams = List.map message_bodies groups in
@@ -487,14 +503,14 @@ let test_partition_blocks_then_heals () =
   with_cluster 3 (fun cl ->
       let groups = build_auto_heal cl 3 in
       let g0 = List.hd groups and g2 = List.nth groups 2 in
-      Medium.partition cl.Cluster.net [ 2 ] [ 0; 1 ];
+      Impair.partition (Medium.impair cl.Cluster.net) [ 2 ] [ 0; 1 ];
       ignore (check_ok "cut send" (Api.send_to_group g0 (body "cut")));
       Engine.sleep cl.Cluster.engine (Time.ms 200);
       Alcotest.(check (list string)) "isolated member saw nothing" []
         (message_bodies g2);
       Alcotest.(check bool) "drops were counted" true
-        (Medium.partition_drops cl.Cluster.net > 0);
-      Medium.heal cl.Cluster.net;
+        (Impair.partition_drops (Medium.impair cl.Cluster.net) > 0);
+      Impair.heal (Medium.impair cl.Cluster.net);
       ignore (check_ok "healed send" (Api.send_to_group g0 (body "healed")));
       Engine.sleep cl.Cluster.engine (Time.sec 2);
       Alcotest.(check (list string))
@@ -635,6 +651,8 @@ let suite =
       tc "resubmitted delivered send not re-sequenced"
         test_resubmitted_delivered_send_not_resequenced;
       tc "flush waits for a stuck sender" test_flush_waits_for_stuck_sender;
+      tc "crashed sender's send is lost, not stuck"
+        test_crashed_senders_send_is_lost_not_stuck;
       QCheck_alcotest.to_alcotest ~rand prop_swarm_invariants;
       QCheck_alcotest.to_alcotest ~rand prop_adversarial_swarm;
       QCheck_alcotest.to_alcotest ~rand prop_batched_adversarial_swarm;

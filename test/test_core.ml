@@ -217,7 +217,7 @@ let test_auto_switches_by_size () =
 
 let drop_nth_matching cl ~n pred =
   let count = ref 0 in
-  Medium.set_drop_fun cl.Cluster.net
+  Impair.set_drop_fun (Medium.impair cl.Cluster.net)
     (Some
        (fun frame ->
          match Amoeba_flip.Flip.packet_of_frame frame with
@@ -518,7 +518,7 @@ let test_falsely_suspected_member_is_expelled () =
       Engine.sleep cl.Cluster.engine (Time.ms 100);
       Machine.crash (Cluster.machine cl 0);
       (* Silence member 2: every frame it sends is lost. *)
-      Medium.set_drop_fun cl.Cluster.net
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
         (Some (fun f -> f.Frame.src = 2));
       ignore (check_ok "reset excludes member 2" (Api.reset_group g1 ~min_members:1));
       Alcotest.(check (list int))
@@ -526,7 +526,7 @@ let test_falsely_suspected_member_is_expelled () =
         [ 1 ]
         (List.map fst (Kernel.member_list (Api.kernel g1)));
       (* Member 2 comes back and hears new-incarnation traffic. *)
-      Medium.set_drop_fun cl.Cluster.net None;
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) None;
       ignore (check_ok "send" (Api.send_to_group g1 (body "new epoch")));
       Engine.sleep cl.Cluster.engine (Time.sec 2);
       Alcotest.(check bool) "member 2 expelled" false
@@ -630,7 +630,7 @@ let prop_total_order_under_loss =
           in
           let groups = creator :: joiners in
           let accs = List.map (collector cl) groups in
-          Medium.set_loss_rate cl.Cluster.net 0.05;
+          Impair.set_loss_rate (Medium.impair cl.Cluster.net) 0.05;
           List.iteri
             (fun i g ->
               Cluster.spawn cl (fun () ->
@@ -640,7 +640,7 @@ let prop_total_order_under_loss =
             groups;
           Engine.sleep cl.Cluster.engine (Time.sec 120);
           (* Converge the tail with a lossless flush. *)
-          Medium.set_loss_rate cl.Cluster.net 0.;
+          Impair.set_loss_rate (Medium.impair cl.Cluster.net) 0.;
           ignore (Api.send_to_group creator (body "flush"));
           Engine.sleep cl.Cluster.engine (Time.sec 30);
           let streams = List.map (fun acc -> messages_of !acc) accs in
@@ -674,7 +674,7 @@ let prop_api_soup =
           let rng = Random.State.make [| seed |] in
           let sent = ref [] in
           let attempted = ref [] in
-          Medium.set_loss_rate cl.Cluster.net 0.02;
+          Impair.set_loss_rate (Medium.impair cl.Cluster.net) 0.02;
           for step = 1 to 12 do
             match Random.State.int rng 3 with
             | 0 -> (
@@ -725,7 +725,7 @@ let prop_api_soup =
                     | None -> ()))
           done;
           (* lossless flush so the tail converges *)
-          Medium.set_loss_rate cl.Cluster.net 0.;
+          Impair.set_loss_rate (Medium.impair cl.Cluster.net) 0.;
           (match Api.send_to_group creator (body "flush") with
           | Ok _ ->
               sent := "flush" :: !sent;

@@ -293,8 +293,8 @@ let power_cycle_schedule =
 
 let adversarial_net =
   {
-    Medium.gilbert =
-      Some { Medium.p_gb = 0.01; p_bg = 0.3; loss_good = 0.002; loss_bad = 0.4 };
+    Impair.gilbert =
+      Some { Impair.p_gb = 0.01; p_bg = 0.3; loss_good = 0.002; loss_bad = 0.4 };
     dup_prob = 0.05;
     jitter_ns = Time.ms 2;
     corrupt_prob = 0.01;
@@ -321,7 +321,7 @@ let run_power_cycle ~net ~seed () =
        (fun v -> v.Checker.invariant = "post:total-order")
        o.Chaos.verdicts)
 
-let test_power_cycle_clean () = run_power_cycle ~net:Medium.clean ~seed:7 ()
+let test_power_cycle_clean () = run_power_cycle ~net:Impair.clean ~seed:7 ()
 
 let test_power_cycle_adversarial () =
   run_power_cycle ~net:adversarial_net ~seed:7 ()

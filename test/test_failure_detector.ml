@@ -41,12 +41,13 @@ let test_false_suspicion_under_loss () =
       let fd0 = Failure_detector.create (Cluster.flip cl 0) in
       let fd1 = Failure_detector.create (Cluster.flip cl 1) in
       ignore (Failure_detector.probe fd0 (Failure_detector.address fd1));
-      Medium.set_drop_fun cl.Cluster.net (Some (fun f -> f.Frame.src = 1));
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
+        (Some (fun f -> f.Frame.src = 1));
       Alcotest.(check bool) "falsely declared dead" false
         (Failure_detector.probe fd0 ~timeout:(Time.ms 20)
            (Failure_detector.address fd1));
       (* It was alive all along. *)
-      Medium.set_drop_fun cl.Cluster.net None;
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) None;
       Alcotest.(check bool) "alive again once the net heals" true
         (Failure_detector.probe fd0 (Failure_detector.address fd1)))
 
@@ -58,7 +59,7 @@ let test_retry_recovers_single_loss () =
       (* Lose exactly the next frame (the first probe); the retry gets
          through. *)
       let dropped = ref false in
-      Medium.set_drop_fun cl.Cluster.net
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
         (Some
            (fun _ ->
              if !dropped then false

@@ -183,7 +183,7 @@ let run_transfer_under ~conditions ~seed () =
       for k = 1 to 10 do
         ignore (check_ok "pre" (R.submit r0 k))
       done;
-      Medium.set_conditions cl.Cluster.net conditions;
+      Impair.set_conditions (Medium.impair cl.Cluster.net) conditions;
       Cluster.spawn cl (fun () ->
           for k = 11 to 25 do
             ignore (R.submit r1 k)
@@ -192,7 +192,7 @@ let run_transfer_under ~conditions ~seed () =
       (* Join mid-stream, with the conditions in force. *)
       let r2 = check_ok "join2" (R.join (Cluster.flip cl 2) (R.address r0)) in
       Engine.sleep cl.Cluster.engine (Time.sec 30);
-      Medium.set_conditions cl.Cluster.net Medium.clean;
+      Impair.set_conditions (Medium.impair cl.Cluster.net) Impair.clean;
       ignore (check_ok "flush" (R.submit r0 26));
       Engine.sleep cl.Cluster.engine (Time.sec 5);
       outcome := Some (R.state r0, R.state r2, R.applied r0, R.applied r2));
@@ -209,7 +209,7 @@ let test_transfer_under_bursty_loss () =
   run_transfer_under ~seed:21
     ~conditions:
       {
-        Medium.clean with
+        Impair.clean with
         gilbert =
           Some { p_gb = 0.02; p_bg = 0.25; loss_good = 0.005; loss_bad = 0.6 };
         dup_prob = 0.05;
@@ -218,7 +218,7 @@ let test_transfer_under_bursty_loss () =
 
 let test_transfer_under_reordering () =
   run_transfer_under ~seed:22
-    ~conditions:{ Medium.clean with jitter_ns = Time.ms 3; dup_prob = 0.05 }
+    ~conditions:{ Impair.clean with jitter_ns = Time.ms 3; dup_prob = 0.05 }
     ()
 
 let test_checkpoint_restore_under_hostile_net () =
@@ -228,9 +228,9 @@ let test_checkpoint_restore_under_hostile_net () =
   let store = Stable_store.create () in
   let cl = Cluster.create ~n:2 ~seed:23 () in
   Cluster.spawn cl (fun () ->
-      Medium.set_conditions cl.Cluster.net
+      Impair.set_conditions (Medium.impair cl.Cluster.net)
         {
-          Medium.gilbert =
+          Impair.gilbert =
             Some { p_gb = 0.02; p_bg = 0.3; loss_good = 0.01; loss_bad = 0.5 };
           dup_prob = 0.05;
           jitter_ns = Time.ms 2;
@@ -335,7 +335,7 @@ let prop_rsm_agreement_under_loss =
                 Result.get_ok (R.join (Cluster.flip cl (i + 1)) (R.address r0)))
           in
           let rs = r0 :: rest in
-          Amoeba_net.Medium.set_loss_rate cl.Cluster.net 0.03;
+          Impair.set_loss_rate (Medium.impair cl.Cluster.net) 0.03;
           List.iteri
             (fun i r ->
               Cluster.spawn cl (fun () ->
@@ -344,7 +344,7 @@ let prop_rsm_agreement_under_loss =
                   done))
             rs;
           Engine.sleep cl.Cluster.engine (Time.sec 60);
-          Amoeba_net.Medium.set_loss_rate cl.Cluster.net 0.;
+          Impair.set_loss_rate (Medium.impair cl.Cluster.net) 0.;
           ignore (R.submit r0 424242);
           Engine.sleep cl.Cluster.engine (Time.sec 10);
           let states = List.map (fun r -> (R.state r).Log_app.entries) rs in

@@ -312,7 +312,7 @@ let swarm_case =
       return
         {
           Migration_chaos.mc_seed = seed;
-          mc_net = (fabric, if hostile then adversarial else Medium.clean);
+          mc_net = (fabric, if hostile then adversarial else Impair.clean);
           mc_crash_source = crash_source;
           mc_crash_dest = crash_dest;
           mc_power_cycle = power;

@@ -267,11 +267,12 @@ let test_work_records_trace_spans () =
 
 let test_oneway_cut_is_directed () =
   let eng, _, ether = make_world () in
+  let imp = Ether.impair ether in
   let got = ref [] in
   let p0 = Ether.attach ether ~rx:(fun f -> got := (0, f) :: !got) in
   let p1 = Ether.attach ether ~rx:(fun f -> got := (1, f) :: !got) in
   ignore p0;
-  Ether.cut_oneway ether ~src:0 ~dst:1;
+  Impair.cut_oneway imp ~src:0 ~dst:1;
   Engine.spawn eng (fun () ->
       ignore (Ether.transmit ether p0 (frame ~src:0 ~dest:(Frame.Unicast 1) 1));
       ignore (Ether.transmit ether p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 2)));
@@ -279,76 +280,79 @@ let test_oneway_cut_is_directed () =
   (* 0 -> 1 suppressed, 1 -> 0 delivered: the deaf side still hears. *)
   Alcotest.(check (list int)) "only the reverse path delivers" [ 0 ]
     (List.map fst !got);
-  Alcotest.(check int) "directed drop counted" 1 (Ether.oneway_drops ether);
+  Alcotest.(check int) "directed drop counted" 1 (Impair.oneway_drops imp);
   Alcotest.(check bool) "cut is queryable" true
-    (Ether.oneway_cut ether ~src:0 ~dst:1
-    && not (Ether.oneway_cut ether ~src:1 ~dst:0));
-  Ether.heal_oneway ether ~src:0 ~dst:1;
-  Alcotest.(check bool) "healed" false (Ether.oneway_cut ether ~src:0 ~dst:1)
+    (Impair.oneway_cut imp ~src:0 ~dst:1
+    && not (Impair.oneway_cut imp ~src:1 ~dst:0));
+  Impair.heal_oneway imp ~src:0 ~dst:1;
+  Alcotest.(check bool) "healed" false (Impair.oneway_cut imp ~src:0 ~dst:1)
 
-let test_gilbert_bursty_loss () =
+(* The link-condition cases below take the fabric as an input: both
+   fabrics apply the one {!Impair} model where a copy reaches a
+   station, so each case must hold on the shared wire and on the
+   switch alike. *)
+
+let make_net fabric =
+  let eng = Engine.create () in
+  let net = Medium.create eng cost fabric in
+  (eng, net, Medium.impair net)
+
+(* [n] broadcasts tagged [first ..] from [p], one after another. *)
+let broadcast eng net p ?(first = 1) n =
+  Engine.spawn eng (fun () ->
+      for i = first to first + n - 1 do
+        ignore
+          (Medium.transmit net p
+             (frame ~src:(Medium.port_id p) ~dest:Frame.Broadcast i))
+      done)
+
+let test_gilbert_bursty_loss fabric () =
   (* A channel that enters the bad state on the first frame and never
      leaves, with certain loss while bad: every frame is swallowed.
      The complementary setting (never leaves the good state, lossless
      there) delivers everything — the loss is state-, not
      frame-correlated. *)
-  let eng, _, ether = make_world () in
+  let eng, net, imp = make_net fabric in
   let got = ref 0 in
-  let _p0 = Ether.attach ether ~rx:(fun _ -> incr got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  let burst g =
-    { Ether.clean with Ether.gilbert = Some g }
-  in
-  Ether.set_conditions ether
-    (burst { Ether.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
-  Engine.spawn eng (fun () ->
-      for i = 1 to 5 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done;
-      (* Same channel shape, but the bad state is unreachable. *)
-      Ether.set_conditions ether
-        (burst { Ether.p_gb = 0.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
-      for i = 6 to 10 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done);
+  let _p0 = Medium.attach net ~rx:(fun _ -> incr got) in
+  let p1 = Medium.attach net ~rx:(fun _ -> ()) in
+  let burst g = { Impair.clean with Impair.gilbert = Some g } in
+  Impair.set_conditions imp
+    (burst { Impair.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
+  broadcast eng net p1 5;
+  Engine.run eng;
+  (* Same channel shape, but the bad state is unreachable. *)
+  Impair.set_conditions imp
+    (burst { Impair.p_gb = 0.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 });
+  broadcast eng net p1 ~first:6 5;
   Engine.run eng;
   Alcotest.(check int) "bad state swallows all, good state none" 5 !got;
-  Alcotest.(check int) "losses counted" 5 (Ether.cond_losses ether)
+  Alcotest.(check int) "losses counted" 5 (Impair.cond_losses imp)
 
-let test_duplication_delivers_twice () =
-  let eng, _, ether = make_world () in
+let test_duplication_delivers_twice fabric () =
+  let eng, net, imp = make_net fabric in
   let got = ref 0 in
-  let _p0 = Ether.attach ether ~rx:(fun _ -> incr got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Ether.set_conditions ether { Ether.clean with Ether.dup_prob = 1.0 };
-  Engine.spawn eng (fun () ->
-      for i = 1 to 3 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done);
+  let _p0 = Medium.attach net ~rx:(fun _ -> incr got) in
+  let p1 = Medium.attach net ~rx:(fun _ -> ()) in
+  Impair.set_conditions imp { Impair.clean with Impair.dup_prob = 1.0 };
+  broadcast eng net p1 3;
   Engine.run eng;
   Alcotest.(check int) "every frame arrives twice" 6 !got;
-  Alcotest.(check int) "duplicates counted" 3 (Ether.duplicates_injected ether)
+  Alcotest.(check int) "duplicates counted" 3 (Impair.duplicates_injected imp)
 
-let test_jitter_can_reorder () =
+let test_jitter_can_reorder fabric () =
   (* With delivery jitter far larger than the inter-frame gap, a long
      train of frames arrives permuted for some seed — delivery order
      is no longer transmission order. *)
-  let eng, _, ether = make_world () in
+  let eng, net, imp = make_net fabric in
   let order = ref [] in
   let _p0 =
-    Ether.attach ether ~rx:(fun f ->
+    Medium.attach net ~rx:(fun f ->
         match f.Frame.body with Tag i -> order := i :: !order | _ -> ())
   in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Ether.set_conditions ether { Ether.clean with Ether.jitter_ns = Time.ms 10 };
-  Engine.spawn eng (fun () ->
-      for i = 1 to 12 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done);
+  let p1 = Medium.attach net ~rx:(fun _ -> ()) in
+  Impair.set_conditions imp { Impair.clean with Impair.jitter_ns = Time.ms 10 };
+  broadcast eng net p1 12;
   Engine.run eng;
   let order = List.rev !order in
   Alcotest.(check int) "nothing lost" 12 (List.length order);
@@ -358,17 +362,15 @@ let test_jitter_can_reorder () =
   Alcotest.(check bool) "arrival order differs from send order" true
     (order <> List.init 12 (fun i -> i + 1));
   Alcotest.(check bool) "jittered deliveries counted" true
-    (Ether.frames_jittered ether > 0)
+    (Impair.frames_jittered imp > 0)
 
-let test_corruption_wraps_body () =
-  let eng, _, ether = make_world () in
+let test_corruption_wraps_body fabric () =
+  let eng, net, imp = make_net fabric in
   let got = ref [] in
-  let _p0 = Ether.attach ether ~rx:(fun f -> got := f :: !got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Ether.set_conditions ether { Ether.clean with Ether.corrupt_prob = 1.0 };
-  Engine.spawn eng (fun () ->
-      ignore
-        (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast 9)));
+  let _p0 = Medium.attach net ~rx:(fun f -> got := f :: !got) in
+  let p1 = Medium.attach net ~rx:(fun _ -> ()) in
+  Impair.set_conditions imp { Impair.clean with Impair.corrupt_prob = 1.0 };
+  broadcast eng net p1 ~first:9 1;
   Engine.run eng;
   (match !got with
   | [ f ] -> (
@@ -378,53 +380,48 @@ let test_corruption_wraps_body () =
             (byte >= 0 && byte < f.Frame.size_on_wire)
       | _ -> Alcotest.fail "body not wrapped as Corrupted")
   | _ -> Alcotest.fail "expected exactly one delivery");
-  Alcotest.(check int) "corruption counted" 1 (Ether.corruptions_injected ether)
+  Alcotest.(check int) "corruption counted" 1 (Impair.corruptions_injected imp)
 
-let test_per_link_conditions_override_default () =
+let test_per_link_conditions_override_default fabric () =
   (* Conditions are per directed link: a total-loss override on
      1 -> 0 starves port 0 while port 2 still hears the same
      broadcasts. *)
-  let eng, _, ether = make_world () in
+  let eng, net, imp = make_net fabric in
   let got = ref [] in
-  let _p0 = Ether.attach ether ~rx:(fun _ -> got := 0 :: !got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  let _p2 = Ether.attach ether ~rx:(fun _ -> got := 2 :: !got) in
+  let _p0 = Medium.attach net ~rx:(fun _ -> got := 0 :: !got) in
+  let p1 = Medium.attach net ~rx:(fun _ -> ()) in
+  let _p2 = Medium.attach net ~rx:(fun _ -> got := 2 :: !got) in
   let total_loss =
     {
-      Ether.clean with
-      Ether.gilbert =
-        Some { Ether.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 };
+      Impair.clean with
+      Impair.gilbert =
+        Some { Impair.p_gb = 1.0; p_bg = 0.0; loss_good = 0.0; loss_bad = 1.0 };
     }
   in
-  Ether.set_link_conditions ether ~src:1 ~dst:0 (Some total_loss);
-  Engine.spawn eng (fun () ->
-      for i = 1 to 3 do
-        ignore
-          (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast i))
-      done);
+  Impair.set_link_conditions imp ~src:1 ~dst:0 (Some total_loss);
+  broadcast eng net p1 3;
   Engine.run eng;
   Alcotest.(check (list int)) "only the clean link delivers" [ 2; 2; 2 ] !got;
   Alcotest.(check bool) "override queryable" true
-    (Ether.link_conditions ether ~src:1 ~dst:0 = Some total_loss
-    && Ether.link_conditions ether ~src:1 ~dst:2 = None);
-  Ether.set_link_conditions ether ~src:1 ~dst:0 None;
+    (Impair.link_conditions imp ~src:1 ~dst:0 = Some total_loss
+    && Impair.link_conditions imp ~src:1 ~dst:2 = None);
+  Impair.set_link_conditions imp ~src:1 ~dst:0 None;
   Alcotest.(check bool) "override removed" true
-    (Ether.link_conditions ether ~src:1 ~dst:0 = None)
+    (Impair.link_conditions imp ~src:1 ~dst:0 = None)
 
-let test_conditions_clear_restores_fast_path () =
-  let eng, _, ether = make_world () in
+let test_conditions_clear_restores_fast_path fabric () =
+  let eng, net, imp = make_net fabric in
   let got = ref 0 in
-  let _p0 = Ether.attach ether ~rx:(fun _ -> incr got) in
-  let p1 = Ether.attach ether ~rx:(fun _ -> ()) in
-  Ether.set_conditions ether { Ether.clean with Ether.dup_prob = 1.0 };
-  Ether.set_conditions ether Ether.clean;
-  Engine.spawn eng (fun () ->
-      ignore
-        (Ether.transmit ether p1 (frame ~src:(Ether.port_id p1) ~dest:Frame.Broadcast 1)));
+  let _p0 = Medium.attach net ~rx:(fun _ -> incr got) in
+  let p1 = Medium.attach net ~rx:(fun _ -> ()) in
+  Impair.set_conditions imp { Impair.clean with Impair.dup_prob = 1.0 };
+  Impair.set_conditions imp Impair.clean;
+  Alcotest.(check bool) "quiet again" true (Impair.quiet imp);
+  broadcast eng net p1 1;
   Engine.run eng;
   Alcotest.(check int) "clean again: one copy" 1 !got;
   Alcotest.(check int) "no residual duplication" 0
-    (Ether.duplicates_injected ether)
+    (Impair.duplicates_injected imp)
 
 let test_excessive_collisions_drop () =
   (* A medium jammed by an adversarial filter never lets anyone win:
@@ -507,13 +504,21 @@ let suite =
       tc "contention resolves via backoff" test_excessive_collisions_drop;
       tc "interrupt accounting" test_interrupt_accounting;
       tc "one-way cut is directed" test_oneway_cut_is_directed;
-      tc "gilbert-elliott loss is bursty" test_gilbert_bursty_loss;
-      tc "duplication delivers twice" test_duplication_delivers_twice;
-      tc "jitter reorders deliveries" test_jitter_can_reorder;
-      tc "corruption wraps the body" test_corruption_wraps_body;
-      tc "per-link conditions override default"
-        test_per_link_conditions_override_default;
-      tc "clearing conditions restores the fast path"
-        test_conditions_clear_restores_fast_path;
       QCheck_alcotest.to_alcotest prop_many_senders_all_frames_delivered;
-    ] )
+    ]
+    @ List.concat_map
+        (fun (name, case) ->
+          [
+            tc name (case Medium.Shared);
+            tc ("switch: " ^ name) (case (Medium.Switched Switch.flat));
+          ])
+        [
+          ("gilbert-elliott loss is bursty", test_gilbert_bursty_loss);
+          ("duplication delivers twice", test_duplication_delivers_twice);
+          ("jitter reorders deliveries", test_jitter_can_reorder);
+          ("corruption wraps the body", test_corruption_wraps_body);
+          ( "per-link conditions override default",
+            test_per_link_conditions_override_default );
+          ( "clearing conditions restores the fast path",
+            test_conditions_clear_restores_fast_path );
+        ] )

@@ -177,9 +177,10 @@ let test_expelled_member_can_rejoin () =
       Engine.sleep cl.Cluster.engine (Time.ms 100);
       Machine.crash (Cluster.machine cl 0);
       (* Member 2 is silenced and gets expelled by the recovery. *)
-      Medium.set_drop_fun cl.Cluster.net (Some (fun f -> f.Frame.src = 2));
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
+        (Some (fun f -> f.Frame.src = 2));
       ignore (check_ok "reset" (Api.reset_group g1 ~min_members:1));
-      Medium.set_drop_fun cl.Cluster.net None;
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) None;
       ignore (check_ok "tick" (Api.send_to_group g1 (body "tick")));
       Engine.sleep cl.Cluster.engine (Time.sec 3);
       Alcotest.(check bool) "old handle dead" false (Kernel.alive (Api.kernel g2));
@@ -386,7 +387,7 @@ let test_two_member_census_waits_for_paused_sequencer () =
       let inc0 = (Api.get_info_group g1).Api.incarnation in
       (* Watch for member 1's first invite: the census has begun. *)
       let invited = ref false in
-      Medium.set_drop_fun cl.Cluster.net
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
         (Some
            (fun frame ->
              (match group_msg_from 1 frame with
@@ -399,7 +400,7 @@ let test_two_member_census_waits_for_paused_sequencer () =
       done;
       Engine.sleep eng (Time.ms 150);
       Machine.resume (Cluster.machine cl 0);
-      Medium.set_drop_fun cl.Cluster.net None;
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) None;
       Engine.sleep eng (Time.sec 2);
       let info = Api.get_info_group g1 in
       Alcotest.(check bool) "a new configuration was installed" true
@@ -605,20 +606,20 @@ let test_replaying_ex_sequencer_serves_nacks () =
         | Some { Packet.body = Wire.Group (Wire.New_config _); _ } -> true
         | _ -> false
       in
-      Medium.set_drop_fun cl.Cluster.net (Some new_config_to_0);
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) (Some new_config_to_0);
       ignore (check_ok "reset by member 1" (Api.reset_group g1 ~min_members:3));
       ignore (check_ok "a" (Api.send_to_group g1 (body "a")));
       Engine.sleep eng (Time.ms 50);
       (* Member 2 misses the new sequencer's tail. *)
-      Medium.partition_pair cl.Cluster.net 1 2;
+      Impair.partition_pair (Medium.impair cl.Cluster.net) 1 2;
       ignore (check_ok "b" (Api.send_to_group g1 (body "b")));
       (* The frozen ex-sequencer's grace period runs out: it recovers
          the group itself, fetching "a" and "b" from member 1. *)
       Engine.sleep eng (Time.sec 3);
       Alcotest.(check bool) "member 0 sequences the new configuration" true
         (Kernel.is_sequencer (Api.kernel g0));
-      Medium.set_drop_fun cl.Cluster.net None;
-      Medium.heal cl.Cluster.net;
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) None;
+      Impair.heal (Medium.impair cl.Cluster.net);
       ignore (check_ok "after" (Api.send_to_group g0 (body "after")));
       Engine.sleep eng (Time.sec 1);
       Alcotest.(check (list string))
@@ -727,7 +728,7 @@ let test_heard_sequencer_gets_full_census () =
       let inc0 = (Api.get_info_group g1).Api.incarnation in
       let census = ref false in
       let seq_host = Cluster.machine cl 0 in
-      Medium.set_drop_fun cl.Cluster.net
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
         (Some
            (fun frame ->
              match group_msg_from 1 frame with
@@ -749,7 +750,7 @@ let test_heard_sequencer_gets_full_census () =
         !census;
       ignore (check_ok "reset by member 1" (Api.reset_group g1 ~min_members:2));
       Alcotest.(check bool) "the census invited the sequencer" true !census;
-      Medium.set_drop_fun cl.Cluster.net None;
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) None;
       let info = Api.get_info_group g1 in
       Alcotest.(check bool) "member 1 recovered the group" true
         (info.Api.incarnation > inc0);
@@ -783,7 +784,7 @@ let test_heal_watch_restarts_with_config () =
       (* Every ping member 1 sends is lost; the fourth silent tick after
          the cut sends the fourth ping, the last before a verdict. *)
       let lost = ref [] in
-      Medium.set_drop_fun cl.Cluster.net
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
         (Some
            (fun frame ->
              match group_msg_from 1 frame with
@@ -794,7 +795,7 @@ let test_heal_watch_restarts_with_config () =
       while List.length !lost < 4 do
         Engine.sleep eng (Time.ms 5)
       done;
-      Medium.set_drop_fun cl.Cluster.net None;
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) None;
       ignore (check_ok "reset by member 2" (Api.reset_group g2 ~min_members:3));
       let inc = (Api.get_info_group g1).Api.incarnation in
       Alcotest.(check int) "member 1 adopted the configuration"
@@ -827,7 +828,7 @@ let test_leave_event_precedes_released_sends () =
       let acks_from_1 frame =
         match group_msg_from 1 frame with Some (Wire.Ack_tent _) -> true | _ -> false
       in
-      Medium.set_drop_fun cl.Cluster.net (Some acks_from_1);
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) (Some acks_from_1);
       let send s = Cluster.spawn cl (fun () -> ignore (Api.send_to_group g0 (body s))) in
       send "a";
       Engine.sleep eng (Time.ms 1);
@@ -835,7 +836,7 @@ let test_leave_event_precedes_released_sends () =
       Engine.sleep eng (Time.ms 5);
       send "b";
       Engine.sleep eng (Time.ms 5);
-      Medium.set_drop_fun cl.Cluster.net None;
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) None;
       Engine.sleep eng (Time.sec 1);
       let rec drain acc =
         match Api.receive_opt g0 with
@@ -883,7 +884,7 @@ let test_no_seq_after_own_leave () =
       let g2 = join 2 in
       ignore (check_ok "warm" (Api.send_to_group g0 (body "w")));
       Engine.sleep eng (Time.ms 100);
-      Medium.set_drop_fun cl.Cluster.net
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
         (Some
            (fun frame ->
              match group_msg_from 1 frame with
@@ -895,7 +896,7 @@ let test_no_seq_after_own_leave () =
       Engine.sleep eng (Time.ms 5);
       Cluster.spawn cl (fun () -> ignore (check_ok "b" (Api.send_to_group g2 (body "b"))));
       Engine.sleep eng (Time.ms 5);
-      Medium.set_drop_fun cl.Cluster.net None;
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net) None;
       Engine.sleep eng (Time.sec 1);
       ignore (check_ok "c" (Api.send_to_group g2 (body "c")));
       Engine.sleep eng (Time.ms 100);
@@ -923,10 +924,10 @@ let test_departed_sequencer_serves_its_stream () =
       let g2 = join 2 in
       ignore (check_ok "warm" (Api.send_to_group g1 (body "w")));
       Engine.sleep eng (Time.ms 100);
-      Medium.cut_oneway cl.Cluster.net ~src:0 ~dst:2;
+      Impair.cut_oneway (Medium.impair cl.Cluster.net) ~src:0 ~dst:2;
       ignore (check_ok "leave" (Api.leave_group g0));
       Engine.sleep eng (Time.ms 50);
-      Medium.heal_oneway cl.Cluster.net ~src:0 ~dst:2;
+      Impair.heal_oneway (Medium.impair cl.Cluster.net) ~src:0 ~dst:2;
       ignore (check_ok "x" (Api.send_to_group g1 (body "x")));
       Engine.sleep eng (Time.ms 500);
       Alcotest.(check (list string)) "member 2 caught up through the Leave"
@@ -957,14 +958,16 @@ let with_forked_sequencer n ?(while_paused = fun _ -> ()) scenario =
       Machine.pause (Cluster.machine cl 0);
       Cluster.spawn cl (fun () -> ignore (Api.send_to_group gs.(1) (body "a")));
       Engine.sleep eng (Time.ms 5);
-      List.iter (fun i -> Medium.cut_oneway net ~src:i ~dst:0) [ 1; 2; 3 ];
+      List.iter
+        (fun i -> Impair.cut_oneway (Medium.impair net) ~src:i ~dst:0)
+        [ 1; 2; 3 ];
       while_paused cl;
       ignore (check_ok "first reset" (Api.reset_group gs.(1) ~min_members:3));
       ignore (check_ok "b" (Api.send_to_group gs.(2) (body "b")));
       ignore (check_ok "second reset" (Api.reset_group gs.(1) ~min_members:3));
       Machine.resume (Cluster.machine cl 0);
       Engine.sleep eng (Time.ms 50);
-      Medium.set_drop_fun net None;
+      Impair.set_drop_fun (Medium.impair net) None;
       scenario cl gs;
       finished := true);
   Alcotest.(check bool) "scenario finished" true !finished
@@ -976,7 +979,7 @@ let with_forked_sequencer n ?(while_paused = fun _ -> ()) scenario =
    first one's Reset, which m4 fetches, shows it. *)
 let test_fork_past_older_incarnation_left_out () =
   let miss_configs_at_4 cl =
-    Medium.set_drop_fun cl.Cluster.net
+    Impair.set_drop_fun (Medium.impair cl.Cluster.net)
       (Some
          (fun f ->
            f.Frame.dest = Frame.Unicast 4
@@ -1002,7 +1005,7 @@ let test_fork_past_older_incarnation_left_out () =
 let test_forked_coordinator_expels_itself () =
   with_forked_sequencer 4 (fun cl gs ->
       List.iter
-        (fun i -> Medium.heal_oneway cl.Cluster.net ~src:i ~dst:0)
+        (fun i -> Impair.heal_oneway (Medium.impair cl.Cluster.net) ~src:i ~dst:0)
         [ 1; 2; 3 ];
       (match Api.reset_group gs.(0) ~min_members:3 with
       | Ok _ -> Alcotest.fail "the forked coordinator installed"
@@ -1030,7 +1033,7 @@ let test_coordinator_fetching_own_leave_stands_down () =
       let _g3 = join 3 in
       ignore (check_ok "warm" (Api.send_to_group g2 (body "w")));
       Engine.sleep eng (Time.ms 100);
-      Medium.cut_oneway cl.Cluster.net ~src:0 ~dst:1;
+      Impair.cut_oneway (Medium.impair cl.Cluster.net) ~src:0 ~dst:1;
       Cluster.spawn cl (fun () -> ignore (Api.leave_group g1));
       let k1 = Api.kernel g1 in
       while

@@ -401,7 +401,7 @@ let test_expelled_replica_is_dead () =
 let test_router_seeds_routes () =
   let cl = Cluster.create ~n:3 ~seed:5 () in
   let whois = ref 0 and received = ref 0 in
-  Medium.set_drop_fun cl.Cluster.net
+  Impair.set_drop_fun (Medium.impair cl.Cluster.net)
     (Some
        (fun f ->
          if f.Frame.src = 2 && f.Frame.dest = Frame.Broadcast then incr whois;

@@ -78,7 +78,7 @@ let test_at_most_once () =
       let c = Rpc.client (Cluster.flip cl 0) in
       ignore (Rpc.call c ~dst:addr (body "warm"));
       let dropped = ref false in
-      Medium.set_drop_fun cl.Cluster.net
+      Impair.set_drop_fun (Medium.impair cl.Cluster.net)
         (Some
            (fun frame ->
              (* Drop the first server->client frame after warm-up. *)

@@ -197,7 +197,7 @@ let run_isolation ~conditions () =
       receiver 1 ga';
       receiver 2 gb;
       receiver 3 gb';
-      Medium.set_conditions cl.Cluster.net conditions;
+      Impair.set_conditions (Medium.impair cl.Cluster.net) conditions;
       let sender g tag =
         Cluster.spawn cl (fun () ->
             for k = 1 to 10 do
@@ -212,7 +212,7 @@ let run_isolation ~conditions () =
       sender gb "B0";
       sender gb' "B1";
       Engine.sleep cl.Cluster.engine (Time.sec 30);
-      Medium.set_conditions cl.Cluster.net Medium.clean;
+      Impair.set_conditions (Medium.impair cl.Cluster.net) Impair.clean;
       (* One clean message per group flushes any pending repair. *)
       ignore (Api.send_to_group ga (Bytes.of_string "A0.flush"));
       ignore (Api.send_to_group gb (Bytes.of_string "B0.flush")));
@@ -239,13 +239,13 @@ let run_isolation ~conditions () =
     "group B delivered exactly its messages" (expected "B")
     (List.sort compare (got 2))
 
-let test_isolation_clean () = run_isolation ~conditions:Medium.clean ()
+let test_isolation_clean () = run_isolation ~conditions:Impair.clean ()
 
 let test_isolation_adversarial () =
   run_isolation
     ~conditions:
       {
-        Medium.gilbert =
+        Impair.gilbert =
           Some { p_gb = 0.01; p_bg = 0.3; loss_good = 0.002; loss_bad = 0.4 };
         dup_prob = 0.05;
         jitter_ns = Time.ms 2;

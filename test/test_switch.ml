@@ -160,38 +160,67 @@ let test_partition_and_loss_on_switch () =
   let got = ref 0 in
   let _p0 = Switch.attach sw ~rx:(fun _ -> incr got) in
   let p1 = Switch.attach sw ~rx:ignore in
-  Switch.partition_pair sw 0 1;
+  let imp = Switch.impair sw in
+  Impair.partition_pair imp 0 1;
   Engine.spawn eng (fun () ->
       ignore (Switch.transmit sw p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 1)));
   Engine.run eng;
   Alcotest.(check int) "partition suppresses delivery" 0 !got;
-  Alcotest.(check int) "partition drop counted" 1 (Switch.partition_drops sw);
-  Switch.heal sw;
+  Alcotest.(check int) "partition drop counted" 1 (Impair.partition_drops imp);
+  Impair.heal imp;
   Engine.spawn eng (fun () ->
       ignore (Switch.transmit sw p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 2)));
   Engine.run eng;
   Alcotest.(check int) "heal restores delivery" 1 !got;
   (* Injected loss drops at store-and-forward arrival. *)
-  Switch.set_loss_rate sw 1.0;
+  Impair.set_loss_rate imp 1.0;
   Engine.spawn eng (fun () ->
       ignore (Switch.transmit sw p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 3)));
   Engine.run eng;
   Alcotest.(check int) "lossy frame never arrives" 1 !got;
-  Alcotest.(check int) "loss counted" 1 (Switch.frames_lost sw)
+  Alcotest.(check int) "loss counted" 1 (Impair.frames_lost imp)
 
 let test_oneway_cut_is_directed () =
   let eng, sw = make_switch () in
   let at0 = ref 0 and at1 = ref 0 in
   let p0 = Switch.attach sw ~rx:(fun _ -> incr at0) in
   let p1 = Switch.attach sw ~rx:(fun _ -> incr at1) in
-  Switch.cut_oneway sw ~src:1 ~dst:0;
+  Impair.cut_oneway (Switch.impair sw) ~src:1 ~dst:0;
   Engine.spawn eng (fun () ->
       ignore (Switch.transmit sw p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 1));
       ignore (Switch.transmit sw p0 (frame ~src:0 ~dest:(Frame.Unicast 1) 2)));
   Engine.run eng;
   Alcotest.(check int) "cut direction blocked" 0 !at0;
   Alcotest.(check int) "reverse direction open" 1 !at1;
-  Alcotest.(check int) "oneway drop counted" 1 (Switch.oneway_drops sw)
+  Alcotest.(check int) "oneway drop counted" 1
+    (Impair.oneway_drops (Switch.impair sw))
+
+let test_jittered_copy_reaches_reattached_port () =
+  (* A jittered copy is handed over when the egress port finishes
+     serializing it but lands only when its delay expires.  A station
+     re-attached in between (a rebooted machine's fresh NIC) is the one
+     that receives it: the copy is bound to the station, not to the
+     port that was attached at hand-over. *)
+  let eng, sw = make_switch () in
+  let old_rx = ref 0 and new_rx = ref 0 in
+  let _p0 = Switch.attach sw ~rx:(fun _ -> incr old_rx) in
+  let p1 = Switch.attach sw ~rx:ignore in
+  let imp = Switch.impair sw in
+  Impair.set_conditions imp { Impair.clean with Impair.jitter_ns = Time.ms 10 };
+  Engine.spawn eng (fun () ->
+      ignore (Switch.transmit sw p1 (frame ~src:1 ~dest:(Frame.Unicast 0) 1)));
+  (* Host uplink, lookup, egress: the copy is handed over here. *)
+  let handover =
+    (2 * Cost_model.frame_time cost ~bytes_on_wire:64)
+    + cost.Cost_model.switch_fwd_ns
+  in
+  Engine.run ~until:(handover + 1) eng;
+  Alcotest.(check int) "copy handed over, still in flight" 1
+    (Impair.frames_jittered imp);
+  ignore (Switch.attach ~id:0 sw ~rx:(fun _ -> incr new_rx));
+  Engine.run eng;
+  Alcotest.(check int) "the replaced port hears nothing" 0 !old_rx;
+  Alcotest.(check int) "the re-attached port receives the copy" 1 !new_rx
 
 let test_utilisation_window_reset () =
   let eng, sw = make_switch () in
@@ -433,6 +462,8 @@ let suite =
         test_crashed_sender_frame_still_delivered;
       tc "partition and loss on switch" test_partition_and_loss_on_switch;
       tc "one-way cut is directed" test_oneway_cut_is_directed;
+      tc "jittered copy reaches a re-attached port"
+        test_jittered_copy_reaches_reattached_port;
       tc "utilisation window reset" test_utilisation_window_reset;
       tc "multicast reaches only subscribers"
         test_multicast_reaches_only_subscribers;
