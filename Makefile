@@ -7,7 +7,9 @@ all: build
 
 # Everything a pre-merge run needs: formatting gate (dune files; see
 # dune-project), full build, the test suites, and the chaos/bench
-# smoke aliases.
+# smoke aliases.  All of them but chaos-smoke and micro are expect
+# tests: a changed report fails with a diff against the alias's
+# .expected file, and `dune promote` accepts a deliberate change.
 check:
 	dune build @fmt
 	dune build
@@ -21,6 +23,7 @@ check:
 	dune build @fabric-smoke
 	dune build @migration-smoke
 	dune build @loadgen-smoke
+	dune build @flag-errors
 	$(MAKE) golden
 
 build:

@@ -25,6 +25,11 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* JSON numbers must be finite: a figure with no samples behind it
+   (an all-fail trial's p99) is nan, which would print as "nan".
+   Encode it as null. *)
+let number x = if Float.is_nan x then Null else Float x
+
 let float_repr x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
   else Printf.sprintf "%.6g" x

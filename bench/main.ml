@@ -408,52 +408,38 @@ let headline () =
 
 (* ----- service: sharded-service shard-scaling sweep ----- *)
 
-(* One measured service workload: a cluster of replica hosts plus
-   router machines, one replicated KV group per shard placed by the
-   shard map, closed-loop clients driving uniform writes through the
-   routers.  Deterministic in [seed].  [max_batch] > 1 turns on
-   router-side op batching, [pipeline_depth] sets the kernels'
-   in-flight sequencer rounds.  [disk] gives every machine a local
-   disk and turns on durable replicas ([fsync] and [checkpoint_every]
-   set the policy); without it nothing touches a disk.  [ramp] is the
-   closed-loop slow start, excluded from the figures.  Returns the
-   driver's trial plus the per-router stats. *)
-let service_run ~shards ~hosts ~routers ~replication ~workers ~duration_ms
-    ~wire_mbps ?(max_batch = 1) ?(batch_delay_us = 500) ?(pipeline_depth = 1)
-    ?disk ?(fsync = Amoeba_grouplib.Rsm.Group_fsync 8) ?(checkpoint_every = 64)
-    ?(fabric = Amoeba_net.Medium.Shared) ?(ramp = Amoeba_sim.Time.zero)
-    ?probe ~seed () =
+(* The scenario every service target starts from: closed-loop
+   clients driving uniform writes over 1 000 keys through the routers,
+   no batching, lock-step kernels, no warm-up, seed 11.  A target
+   overrides the cluster shape, wire and window; [max_batch] > 1 turns
+   on router-side op batching, [pipeline_depth] sets the kernels'
+   in-flight sequencer rounds, [warmup] is the closed-loop slow start,
+   excluded from the figures. *)
+let service_base =
+  {
+    Amoeba_loadgen.Driver.default with
+    mix = Amoeba_loadgen.Mix.read_write ~read:0.0 Amoeba_service.Keygen.Uniform;
+    txn_size = 1;
+    max_batch = 1;
+    pipeline_depth = 1;
+    warmup = Amoeba_sim.Time.zero;
+  }
+
+let durable fsync =
+  {
+    Amoeba_service.Service.d_store = Amoeba_grouplib.Stable_store.create ();
+    d_sync = fsync;
+    d_checkpoint_every = 64;
+  }
+
+(* One measured service workload of [workers] closed-loop clients on
+   [cfg]: a cluster of replica hosts plus router machines, one
+   replicated KV group per shard placed by the shard map.  Deterministic
+   in [cfg].  [disk] gives every machine a local disk and [durable]
+   turns on durable replicas; without them nothing touches a disk.
+   Returns the driver's trial plus the per-router stats. *)
+let service_run ?disk ?durable ?probe ~workers cfg =
   let module D = Amoeba_loadgen.Driver in
-  let cfg =
-    {
-      D.shards;
-      hosts;
-      routers;
-      replication;
-      wire_mbps;
-      net = (fabric, Amoeba_net.Impair.clean);
-      max_batch;
-      batch_delay_us;
-      pipeline_depth;
-      mix = Amoeba_loadgen.Mix.read_write ~read:0.0 Amoeba_service.Keygen.Uniform;
-      keys = 1_000;
-      value_dist = Amoeba_loadgen.Dist.Fixed 32;
-      txn_size = 1;
-      duration = Amoeba_sim.Time.ms duration_ms - ramp;
-      warmup = ramp;
-      seed;
-    }
-  in
-  let durable =
-    Option.map
-      (fun _ ->
-        {
-          Amoeba_service.Service.d_store = Amoeba_grouplib.Stable_store.create ();
-          d_sync = fsync;
-          d_checkpoint_every = checkpoint_every;
-        })
-      disk
-  in
   D.bring_up ?disk ?durable cfg (fun d ->
       let cl = d.D.cluster in
       (* Counters only, no timing: utilisation read by [probe] covers
@@ -506,8 +492,17 @@ let service () =
       List.iter
         (fun wire_mbps ->
           let r, _ =
-            service_run ~shards ~hosts ~routers ~replication ~workers
-              ~duration_ms ~wire_mbps ~seed ()
+            service_run ~workers
+              {
+                service_base with
+                shards;
+                hosts;
+                routers;
+                replication;
+                wire_mbps;
+                duration = Amoeba_sim.Time.ms duration_ms;
+                seed;
+              }
           in
           if shards = List.hd shard_counts then
             Hashtbl.replace base wire_mbps r.Amoeba_loadgen.Driver.throughput;
@@ -579,9 +574,19 @@ let batch () =
           List.iter
             (fun max_batch ->
               let r, stats =
-                service_run ~shards ~hosts ~routers ~replication ~workers
-                  ~duration_ms ~wire_mbps ~max_batch ~pipeline_depth:depth
-                  ~seed ()
+                service_run ~workers
+                  {
+                    service_base with
+                    shards;
+                    hosts;
+                    routers;
+                    replication;
+                    wire_mbps;
+                    max_batch;
+                    pipeline_depth = depth;
+                    duration = Amoeba_sim.Time.ms duration_ms;
+                    seed;
+                  }
               in
               let sum f = List.fold_left (fun a s -> a + f s) 0 stats in
               let batches = sum (fun s -> s.Amoeba_service.Router.batches_sent) in
@@ -673,6 +678,17 @@ let recovery () =
       ("fsync-per-commit", Some R.Every_commit);
     ]
   in
+  let cfg =
+    {
+      service_base with
+      shards;
+      hosts;
+      routers;
+      replication;
+      duration = Amoeba_sim.Time.ms duration_ms;
+      seed;
+    }
+  in
   Printf.printf "%18s |" "policy";
   List.iter (fun (n, _) -> Printf.printf " %9s" n) disks;
   Printf.printf "   (committed ops/s, %d shards, wire 100 Mbit)\n" shards;
@@ -690,16 +706,12 @@ let recovery () =
                    measured once and repeated across the columns. *)
                 if Float.is_nan !off_ops then
                   off_ops :=
-                    (fst
-                       (service_run ~shards ~hosts ~routers ~replication
-                          ~workers ~duration_ms ~wire_mbps:100 ~seed ()))
+                    (fst (service_run ~workers cfg))
                       .Amoeba_loadgen.Driver.throughput;
                 !off_ops
             | Some fsync ->
                 (fst
-                   (service_run ~shards ~hosts ~routers ~replication ~workers
-                      ~duration_ms ~wire_mbps:100 ~disk:d ~fsync
-                      ~checkpoint_every:64 ~seed ()))
+                   (service_run ~disk:d ~durable:(durable fsync) ~workers cfg))
                   .Amoeba_loadgen.Driver.throughput
           in
           overhead_rows :=
@@ -854,11 +866,20 @@ let fabric () =
             qdrops := Amoeba_net.Medium.queue_drops m
           in
           let r, _ =
-            service_run ~shards ~hosts ~routers ~replication ~workers
-              ~duration_ms ~wire_mbps:100 ~max_batch:32 ~pipeline_depth:4
-              ~fabric:spec
-              ~ramp:(Amoeba_sim.Time.ms ramp_ms)
-              ~probe ~seed ()
+            service_run ~probe ~workers
+              {
+                service_base with
+                shards;
+                hosts;
+                routers;
+                replication;
+                net = (spec, Impair.clean);
+                max_batch = 32;
+                pipeline_depth = 4;
+                duration = Amoeba_sim.Time.ms (duration_ms - ramp_ms);
+                warmup = Amoeba_sim.Time.ms ramp_ms;
+                seed;
+              }
           in
           let open Amoeba_loadgen.Driver in
           Printf.printf
@@ -923,25 +944,10 @@ let migration_run ~records ~disk ~seed =
   let module D = Amoeba_loadgen.Driver in
   let module H = Amoeba_loadgen.Histogram in
   let cfg =
-    {
-      D.default with
-      D.shards = 1;
-      hosts = 6;
-      routers = 1;
-      replication = 2;
-      max_batch = 1;
-      pipeline_depth = 1;
-      seed;
-    }
+    { service_base with shards = 1; hosts = 6; routers = 1; replication = 2; seed }
   in
-  let dc =
-    {
-      Service.d_store = Amoeba_grouplib.Stable_store.create ();
-      d_sync = Amoeba_grouplib.Rsm.Group_fsync 8;
-      d_checkpoint_every = 64;
-    }
-  in
-  D.bring_up ~disk ~durable:dc cfg (fun d ->
+  let durable = durable (Amoeba_grouplib.Rsm.Group_fsync 8) in
+  D.bring_up ~disk ~durable cfg (fun d ->
       let cl = d.D.cluster and svc = d.D.service and r = d.D.routers.(0) in
       let eng = cl.Cluster.engine in
       let samples = ref [] in
@@ -1081,14 +1087,15 @@ let loadgen () =
      server, so the knee of the latency curve scales with shards until\n\
      the fabric pushes back; mixed YCSB-A load with multi-key txns";
   let params = L.Report.default_params ~smoke:!smoke_mode in
+  let b = params.L.Report.base in
   Printf.printf
     "mix %s over %d keys, values %s, %d-key txns; SLO p99 <= %.0f ms at >= \
-     %.0f%% completion; %d ms windows, seed %d\n"
-    params.L.Report.mix.L.Mix.name params.L.Report.keys
-    (L.Dist.to_string params.L.Report.value_dist)
-    params.L.Report.txn_size params.L.Report.slo.L.Saturation.p99_ms
+     %.0f%% completion; %.0f ms windows, seed %d\n"
+    b.mix.L.Mix.name b.keys
+    (L.Dist.to_string b.value_dist)
+    b.txn_size params.L.Report.slo.L.Saturation.p99_ms
     (100.0 *. params.L.Report.slo.L.Saturation.min_completion)
-    params.L.Report.duration_ms params.L.Report.seed;
+    (Amoeba_sim.Time.to_ms b.duration) b.seed;
   L.Report.print_header ();
   let rows =
     L.Report.sweep ~progress:L.Report.print_row ~smoke:!smoke_mode params
@@ -1285,10 +1292,18 @@ let micro () =
      wire=100/batch=1/depth=1 row keeps tracking that regime.) *)
   let service_ops =
     (fst
-       (service_run ~shards:8 ~hosts:16 ~routers:4 ~replication:3
+       (service_run
           ~workers:(if !smoke_mode then 96 else 1_024)
-          ~duration_ms:(if !smoke_mode then 400 else 2_000)
-          ~wire_mbps:100 ~max_batch:32 ~pipeline_depth:4 ~seed:11 ()))
+          {
+            service_base with
+            shards = 8;
+            hosts = 16;
+            routers = 4;
+            replication = 3;
+            max_batch = 32;
+            pipeline_depth = 4;
+            duration = Amoeba_sim.Time.ms (if !smoke_mode then 400 else 2_000);
+          }))
       .Amoeba_loadgen.Driver.throughput
   in
   let results =

@@ -13,18 +13,37 @@ open Amoeba_harness
 module T = Amoeba_core.Types
 module E = Experiments
 
-let method_conv =
-  let parse = function
-    | "pb" -> Ok T.Pb
-    | "bb" -> Ok T.Bb
-    | "auto" -> Ok T.Auto
-    | s -> Error (`Msg (Printf.sprintf "unknown method %S (pb|bb|auto)" s))
+(* Checked converters: an out-of-range value is a usage error (exit
+   124) where it is parsed, not an exception from deep inside a run. *)
+let checked what ok conv =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | r -> r
   in
-  let print fmt m =
-    Format.pp_print_string fmt
-      (match m with T.Pb -> "pb" | T.Bb -> "bb" | T.Auto -> "auto")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let count = checked "an integer >= 1" (fun n -> n >= 1) Arg.int
+let nat = checked "an integer >= 0" (fun n -> n >= 0) Arg.int
+
+let positive =
+  checked "a finite number > 0" (fun x -> Float.is_finite x && x > 0.) Arg.float
+
+(* Every open-loop arrival is a simulated fiber, so an offered rate
+   must be finite; a million ops per simulated second is already a
+   thousand times what the paper's wire carries. *)
+let rate =
+  checked "a rate in (0, 1e6]" (fun x -> x > 0. && x <= 1e6) Arg.float
+
+let ratio = checked "a number in [0,1]" (fun x -> x >= 0. && x <= 1.) Arg.float
+
+let opt c default name doc = Arg.(value & opt c default & info [ name ] ~doc)
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+
+(* A converter from a module's own [of_string] / [to_string] pair. *)
+let string_conv of_string to_string =
+  Arg.conv' (of_string, fun fmt v -> Format.pp_print_string fmt (to_string v))
 
 (* --net takes a '+'-separated spec: each component is either a fabric
    (ether | shared | switch | switch:SxH[@U]) or a condition profile.
@@ -32,18 +51,12 @@ let method_conv =
    so the CLI, the adversarial swarm test and the loadgen sweep share
    one notion of what e.g. "bursty" means. *)
 let net_conv =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Amoeba_net.Medium.net_of_string s)
-  in
-  let print fmt nc =
-    Format.pp_print_string fmt (Amoeba_net.Medium.net_to_string nc)
-  in
-  Arg.conv (parse, print)
+  string_conv Amoeba_net.Medium.net_of_string Amoeba_net.Medium.net_to_string
 
-let net_t =
+let net_opt default =
   Arg.(
     value
-    & opt net_conv (Amoeba_net.Medium.Shared, Amoeba_net.Impair.clean)
+    & opt net_conv default
     & info [ "net" ]
         ~doc:
           "Fabric and/or link conditions, '+'-separated.  Fabric: ether \
@@ -54,29 +67,12 @@ let net_t =
            loss), dup, reorder (delivery jitter), corrupt, or adversarial \
            (all of them, moderate).  Example: switch:2x48@10+bursty.")
 
-let disk_conv =
-  let open Amoeba_net.Cost_model in
-  let parse s =
-    match List.assoc_opt s disk_profiles with
-    | Some d -> Ok d
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown disk profile %S (%s)" s
-               (String.concat "|" (List.map fst disk_profiles))))
-  in
-  let print fmt d =
-    Format.pp_print_string fmt
-      (match List.find_opt (fun (_, d') -> d' = d) disk_profiles with
-      | Some (name, _) -> name
-      | None -> "<custom>")
-  in
-  Arg.conv (parse, print)
+let net_t = net_opt (Amoeba_net.Medium.Shared, Amoeba_net.Impair.clean)
 
 let disk_t =
   Arg.(
     value
-    & opt (some disk_conv) None
+    & opt (some (enum Amoeba_net.Cost_model.disk_profiles)) None
     & info [ "disk" ]
         ~doc:
           "Give every machine a local disk with this timing profile \
@@ -85,16 +81,18 @@ let disk_t =
            touches a disk and all simulated figures are unchanged.")
 
 let members_t =
-  Arg.(value & opt int 8 & info [ "m"; "members" ] ~doc:"Group size.")
+  Arg.(value & opt count 8 & info [ "m"; "members" ] ~doc:"Group size.")
 
 let size_t =
   Arg.(value & opt int 0 & info [ "s"; "size" ] ~doc:"Message size in bytes.")
 
 let method_t =
-  Arg.(value & opt method_conv T.Pb & info [ "method" ] ~doc:"pb, bb or auto.")
+  opt
+    (Arg.enum [ ("pb", T.Pb); ("bb", T.Bb); ("auto", T.Auto) ])
+    T.Pb "method" "pb, bb or auto."
 
 let resilience_t =
-  Arg.(value & opt int 0 & info [ "r"; "resilience" ] ~doc:"Resilience degree.")
+  Arg.(value & opt nat 0 & info [ "r"; "resilience" ] ~doc:"Resilience degree.")
 
 let delay_cmd =
   let run members size method_ r (fabric, net) =
@@ -111,7 +109,7 @@ let delay_cmd =
 
 let throughput_cmd =
   let senders_t =
-    Arg.(value & opt int 8 & info [ "senders" ] ~doc:"Senders (= group size).")
+    Arg.(value & opt count 8 & info [ "senders" ] ~doc:"Senders (= group size).")
   in
   let duration_t =
     Arg.(value & opt int 2000 & info [ "duration" ] ~doc:"Simulated ms.")
@@ -131,7 +129,7 @@ let throughput_cmd =
     Term.(const run $ senders_t $ size_t $ method_t $ resilience_t $ duration_t)
 
 let multigroup_cmd =
-  let groups_t = Arg.(value & opt int 5 & info [ "groups" ] ~doc:"Groups.") in
+  let groups_t = opt count 5 "groups" "Groups." in
   let run groups members =
     let r = E.multigroup_throughput ~groups ~members () in
     Printf.printf
@@ -190,7 +188,7 @@ let chaos_cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Schedule/workload seed.")
   in
   let chaos_members_t =
-    Arg.(value & opt int 4 & info [ "m"; "members" ] ~doc:"Group size.")
+    Arg.(value & opt count 4 & info [ "m"; "members" ] ~doc:"Group size.")
   in
   let msgs_t =
     Arg.(value & opt int 4 & info [ "msgs" ] ~doc:"Messages per member.")
@@ -206,7 +204,7 @@ let chaos_cmd =
   in
   let chaos_groups_t =
     Arg.(
-      value & opt int 1
+      value & opt count 1
       & info [ "groups" ]
           ~doc:
             "Concurrent groups sharing the wire (sequencers spread over \
@@ -257,319 +255,200 @@ let chaos_cmd =
 
 (* ----- the sharded service layer ----- *)
 
-let seed_t =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
+module D = Amoeba_loadgen.Driver
 
-let shards_t =
-  Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Number of shards (groups).")
-
-let hosts_t =
-  Arg.(
-    value & opt int 8
-    & info [ "hosts" ] ~doc:"Machines available to host replicas.")
-
-let replication_t =
-  Arg.(value & opt int 3 & info [ "replication" ] ~doc:"Replicas per shard.")
-
-let max_batch_t =
-  Arg.(
-    value & opt int 32
-    & info [ "max-batch" ]
-        ~doc:
+(* The one description of a service run: each flag sets one field of
+   a {!D.config}, and each command passes in its own defaults. *)
+let scenario_t (d : D.config) =
+  let make shards hosts routers replication wire_mbps net max_batch
+      pipeline_depth keys value_dist duration warmup seed =
+    if replication > hosts then
+      Error
+        (Printf.sprintf "--replication %d needs at least %d --hosts, not %d"
+           replication replication hosts)
+    else
+      Ok
+        {
+          d with
+          D.shards;
+          hosts;
+          routers;
+          replication;
+          wire_mbps;
+          net;
+          max_batch;
+          pipeline_depth;
+          keys;
+          value_dist;
+          duration = Amoeba_sim.Time.ms duration;
+          warmup = Amoeba_sim.Time.ms warmup;
+          seed;
+        }
+  in
+  let ms t = t / Amoeba_sim.Time.ms 1 in
+  Term.(
+    term_result' ~usage:true
+      (const make
+      $ opt count d.shards "shards"
+          "Number of shards, one replicated group each."
+      $ opt count d.hosts "hosts"
+          "Machines available to host replicas; router machines come extra."
+      $ opt count d.routers "routers" "Client machines, one router each."
+      $ opt count d.replication "replication"
+          "Replicas per shard, at most --hosts."
+      $ opt count d.wire_mbps "wire-mbps"
+          "Ethernet bit rate in Mbit/s (10 is the paper's testbed).  On the \
+           shared 10 Mbit wire the medium itself saturates near 850 ops/s \
+           whatever the shard count; 100 makes the machines the bottleneck \
+           again, the regime where shards scale."
+      $ net_opt d.net
+      $ opt count d.max_batch "max-batch"
           "Router-side op batching: up to this many ops for one shard are \
            shipped as one RPC, which the replica submits as one sequencer \
-           round (1 disables batching).")
-
-let batch_delay_t =
-  Arg.(
-    value & opt int 500
-    & info [ "batch-delay-us" ]
-        ~doc:
-          "Nagle-style flush timer in microseconds: a partial batch ships \
-           when this much time has passed since its first op.")
-
-let pipeline_depth_t =
-  Arg.(
-    value & opt int 4
-    & info [ "pipeline-depth" ]
-        ~doc:
+           round (1 disables batching)."
+      $ opt count d.pipeline_depth "pipeline-depth"
           "Unacknowledged sequencer rounds each replica kernel may keep in \
-           flight (1 = the paper's lock-step send).")
-
-let serve_cmd =
-  let run shards hosts replication r seed max_batch batch_delay_us
-      pipeline_depth =
-    let open Amoeba_service in
-    let module D = Amoeba_loadgen.Driver in
-    let cfg =
-      {
-        D.default with
-        D.shards;
-        hosts;
-        routers = 1;
-        replication;
-        wire_mbps = 10;
-        max_batch;
-        batch_delay_us;
-        pipeline_depth;
-        seed;
-      }
-    in
-    D.bring_up ~resilience:r cfg (fun d ->
-        let svc = d.D.service and router = d.D.routers.(0) in
-        Format.printf "%a@." Shard_map.pp d.D.map;
-        for i = 0 to (4 * shards) - 1 do
-          ignore
-            (Router.put router
-               (Printf.sprintf "demo-%d" i)
-               (Printf.sprintf "value-%d" i))
-        done;
-        Amoeba_sim.Engine.sleep d.D.cluster.Cluster.engine
-          (Amoeba_sim.Time.ms 300);
-        Printf.printf "service up: %d shard(s) x %d replica(s), %d demo writes\n"
-          shards
-          (Shard_map.replication d.D.map)
-          (Service.writes_ok svc);
-        for s = 0 to shards - 1 do
-          Printf.printf "  shard %d applied:" s;
-          List.iter
-            (fun (host, a) -> Printf.printf " m%d=%d" host a)
-            (Service.applied svc s);
-          print_newline ()
-        done)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Deploy the sharded key/value service (one replicated group per \
-          shard) and show its placement.")
-    Term.(
-      const run $ shards_t $ hosts_t $ replication_t $ resilience_t $ seed_t
-      $ max_batch_t $ batch_delay_t $ pipeline_depth_t)
+           flight (1 = the paper's lock-step send)."
+      $ opt count d.keys "keys" "Key space size."
+      $ opt
+          Amoeba_loadgen.Dist.(string_conv of_string to_string)
+          d.value_dist "value-dist"
+          "Value size distribution: fixed:N, uniform:MIN:MAX, or \
+           lognormal:MEDIAN:SIGMA."
+      $ opt count (ms d.duration) "duration"
+          "Measured window in simulated ms; it starts after --warmup."
+      $ opt nat (ms d.warmup) "warmup"
+          "Simulated ms of load before the measured window, excluded from \
+           every figure.  Closed-loop clients start staggered over it: \
+           thousands of first-contact clients unleashed at once starve every \
+           CPU, and the group kernels read the stall as member failures.  0 \
+           starts the whole herd at t=0."
+      $ opt Arg.int d.seed "seed"
+          "Simulation seed: the cluster's and the workload's."))
 
 let workload_cmd =
-  let routers_t =
-    Arg.(
-      value & opt int 4
-      & info [ "routers" ] ~doc:"Client machines, one router each.")
-  in
-  let keys_t =
-    Arg.(value & opt int 1000 & info [ "keys" ] ~doc:"Key space size.")
-  in
-  let value_bytes_t =
-    Arg.(value & opt int 32 & info [ "value-bytes" ] ~doc:"Value size.")
-  in
   let read_ratio_t =
-    Arg.(
-      value & opt float 0.0
-      & info [ "read-ratio" ] ~doc:"Fraction of reads (0.0 - 1.0).")
+    opt ratio 0.0 "read-ratio" "Fraction of reads (0.0 - 1.0)."
   in
   let dist_t =
-    Arg.(
-      value & opt string "uniform"
-      & info [ "dist" ]
-          ~doc:
-            "Key popularity: uniform, zipf, or latest (YCSB-D's \
-             read-latest: a Zipf-distributed offset back from the newest \
-             key).")
+    opt
+      (Arg.enum [ ("uniform", `Uniform); ("zipf", `Zipf); ("latest", `Latest) ])
+      `Uniform "dist"
+      "Key popularity: uniform, zipf, or latest (YCSB-D's read-latest: a \
+       Zipf-distributed offset back from the newest key)."
   in
   let skew_t =
-    Arg.(
-      value & opt float 0.99
-      & info [ "skew" ] ~doc:"Skew exponent (with --dist zipf or latest).")
+    opt Arg.float 0.99 "skew" "Skew exponent (with --dist zipf or latest)."
   in
   let workers_t =
-    Arg.(
-      value & opt int 16
-      & info [ "workers" ] ~doc:"Closed-loop clients (ignored with --rate).")
+    opt count 16 "workers" "Closed-loop clients (ignored with --rate)."
   in
   let rate_t =
-    Arg.(
-      value & opt (some float) None
-      & info [ "rate" ] ~doc:"Open-loop arrival rate (ops per second).")
-  in
-  let duration_t =
-    Arg.(value & opt int 5000 & info [ "duration" ] ~doc:"Simulated ms.")
-  in
-  let ramp_t =
-    Arg.(
-      value & opt int 0
-      & info [ "ramp-ms" ]
-          ~doc:
-            "Closed-loop slow start: stagger worker startup over this \
-             many simulated ms instead of unleashing the whole herd at \
-             t=0 (thousands of first-contact clients starve every CPU \
-             at once and the group kernels read the stall as member \
-             failures).  0 keeps the all-at-once start.")
+    opt (Arg.some rate) None "rate" "Open-loop arrival rate (ops per second)."
   in
   let crash_seq_t =
-    Arg.(
-      value & flag
-      & info [ "crash-sequencer" ]
-          ~doc:
-            "Crash shard 0's sequencer machine halfway through and check the \
-             chaos invariants per shard afterwards (requires resilience >= \
-             1 for the durability check).  The group auto-heals while the \
-             router keeps serving from the surviving replicas.")
+    flag "crash-sequencer"
+      "Crash shard 0's sequencer machine halfway through and check the \
+       chaos invariants per shard afterwards (requires resilience >= 1 for \
+       the durability check).  The group auto-heals while the router keeps \
+       serving from the surviving replicas."
   in
   let crash_follower_t =
-    Arg.(
-      value & flag
-      & info [ "crash-follower" ]
-          ~doc:
-            "Crash shard 0's first follower replica halfway through.  The \
-             follower is in the router's serving rotation (sequencer-host \
-             endpoints are held in reserve), so this exercises the router's \
-             probe/suspect/failover path; invariants are checked per shard \
-             afterwards.")
-  in
-  let wire_t =
-    Arg.(
-      value & opt int 10
-      & info [ "wire-mbps" ]
-          ~doc:
-            "Ethernet bit rate in Mbit/s (default 10, the paper's testbed). \
-             On the shared 10 Mbit wire the medium itself saturates near 850 \
-             ops/s whatever the shard count; 100 makes the machines the \
-             bottleneck again, the regime where shards scale.")
+    flag "crash-follower"
+      "Crash shard 0's first follower replica halfway through.  The \
+       follower is in the router's serving rotation (sequencer-host \
+       endpoints are held in reserve), so this exercises the router's \
+       probe/suspect/failover path; invariants are checked per shard \
+       afterwards."
   in
   let checkpoint_every_t =
-    Arg.(
-      value & opt int 64
-      & info [ "checkpoint-every" ]
-          ~doc:
-            "With --disk: each replica checkpoints its state and trims the \
-             WAL every this many applied updates (0 never checkpoints).")
+    opt nat 64 "checkpoint-every"
+      "With --disk: each replica checkpoints its state and trims the WAL \
+       every this many applied updates (0 never checkpoints)."
   in
   let fsync_t =
     let open Amoeba_grouplib.Rsm in
-    let fsync_conv =
-      let parse = function
-        | "commit" -> Ok Every_commit
-        | "group" -> Ok (Group_fsync 8)
-        | "checkpoint" -> Ok Checkpoint_only
-        | s ->
-            Error
-              (`Msg
-                (Printf.sprintf "unknown fsync policy %S \
-                                 (commit|group|checkpoint)" s))
-      in
-      let print fmt p =
-        Format.pp_print_string fmt
-          (match p with
-          | Every_commit -> "commit"
-          | Group_fsync _ -> "group"
-          | Checkpoint_only -> "checkpoint")
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value & opt fsync_conv (Group_fsync 8)
-      & info [ "fsync" ]
-          ~doc:
-            "With --disk: when a replica fsyncs its WAL.  'commit' syncs \
-             every applied update (every acked write survives a power \
-             loss), 'group' every 8th (bounded trailing-window loss), \
-             'checkpoint' only at checkpoints.")
+    opt
+      (Arg.enum
+         [
+           ("commit", Every_commit);
+           ("group", Group_fsync 8);
+           ("checkpoint", Checkpoint_only);
+         ])
+      (Group_fsync 8) "fsync"
+      "With --disk: when a replica fsyncs its WAL.  'commit' syncs every \
+       applied update (every acked write survives a power loss), 'group' \
+       every 8th (bounded trailing-window loss), 'checkpoint' only at \
+       checkpoints."
   in
   let power_cycle_t =
-    Arg.(
-      value & flag
-      & info [ "power-cycle" ]
-          ~doc:
-            "Requires --disk.  Write sentinel keys a quarter of the way \
-             through, power off EVERY server host at the halfway mark, \
-             restart them ~275 simulated ms later, recover the whole \
-             service from its disks, repoint the routers, and read the \
-             sentinels back.  With --fsync commit any acked sentinel lost \
-             across the cycle fails the run (exit 1); weaker policies \
-             report trailing-window losses without failing.")
+    flag "power-cycle"
+      "Requires --disk.  Write sentinel keys a quarter of the way through, \
+       power off EVERY server host at the halfway mark, restart them ~275 \
+       simulated ms later, recover the whole service from its disks, \
+       repoint the routers, and read the sentinels back.  With --fsync \
+       commit any acked sentinel lost across the cycle fails the run (exit \
+       1); weaker policies report trailing-window losses without failing."
   in
   let stale_reads_t =
-    Arg.(
-      value & flag
-      & info [ "stale-reads" ]
-          ~doc:
-            "Routers issue bounded-staleness gets, answered from each \
-             replica's last durable checkpoint (the durable frontier) \
-             instead of the live state.")
+    flag "stale-reads"
+      "Routers issue bounded-staleness gets, answered from each replica's \
+       last durable checkpoint (the durable frontier) instead of the live \
+       state."
   in
   let migrate_t =
-    Arg.(
-      value & flag
-      & info [ "migrate" ]
-          ~doc:
-            "Live-migrate shard 0 onto fresh hosts a third of the way \
-             through, while the workload keeps running: the destinations \
-             join the running group (atomic checkpoint + delta state \
-             transfer), the sequencer role cuts over view-synchronously \
-             and the routers repoint.  Prints the migration window.  \
-             Needs enough hosts free of shard 0 replicas to hold a full \
-             replica set.")
+    flag "migrate"
+      "Live-migrate shard 0 onto fresh hosts a third of the way through, \
+       while the workload keeps running: the destinations join the running \
+       group (atomic checkpoint + delta state transfer), the sequencer role \
+       cuts over view-synchronously and the routers repoint.  Prints the \
+       migration window.  Needs enough hosts free of shard 0 replicas to \
+       hold a full replica set."
   in
   let rebalance_t =
-    Arg.(
-      value & flag
-      & info [ "rebalance" ]
-          ~doc:
-            "Start the elastic rebalancer: sample per-shard load every \
-             250 simulated ms, and when one machine's sequencing load \
-             exceeds twice the pool mean, live-migrate the hottest shard \
-             it sequences onto the coldest fresh hosts.  Pair with --dist \
-             zipf, whose hot-key skew is what trips it.")
+    flag "rebalance"
+      "Start the elastic rebalancer: sample per-shard load every 250 \
+       simulated ms, and when one machine's sequencing load exceeds twice \
+       the pool mean, live-migrate the hottest shard it sequences onto the \
+       coldest fresh hosts.  Pair with --dist zipf, whose hot-key skew is \
+       what trips it."
   in
   let json_t =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Also print the measured result as a JSON object.  The JSON \
-             figures read the same ramp-excluded accumulator as the text \
-             figures, so the two cannot disagree about warmup exclusion.")
+    flag "json"
+      "Also print the measured trial as a JSON object.  The JSON figures \
+       read the same warmup-excluded accumulator as the text figures, so \
+       the two cannot disagree about warmup exclusion."
   in
-  let run shards hosts routers replication r keys value_bytes read_ratio dist
-      skew workers rate duration_ms ramp_ms seed net wire_mbps crash_seq
-      crash_follower max_batch batch_delay_us pipeline_depth disk
-      checkpoint_every fsync power_cycle stale_reads migrate rebalance json =
+  let run (cfg : D.config) r read_ratio dist skew workers rate crash_seq
+      crash_follower disk checkpoint_every fsync power_cycle stale_reads
+      migrate rebalance json =
     let open Amoeba_sim in
     let open Amoeba_service in
-    let module D = Amoeba_loadgen.Driver in
     let dist =
       match dist with
-      | "uniform" -> Keygen.Uniform
-      | "zipf" -> Keygen.Zipf skew
-      | "latest" -> Keygen.Latest skew
-      | s ->
-          Printf.eprintf "unknown distribution %S (uniform|zipf|latest)\n" s;
-          exit 2
+      | `Uniform -> Keygen.Uniform
+      | `Zipf -> Keygen.Zipf skew
+      | `Latest -> Keygen.Latest skew
     in
-    if power_cycle && disk = None then begin
-      Printf.eprintf "--power-cycle needs a disk (pass --disk)\n";
-      exit 2
-    end;
-    let duration = Amoeba_sim.Time.ms duration_ms in
-    let ramp = max 0 (min (Amoeba_sim.Time.ms ramp_ms) duration) in
     let cfg =
-      {
-        D.shards;
-        hosts;
-        routers;
-        replication;
-        wire_mbps;
-        net;
-        max_batch;
-        batch_delay_us;
-        pipeline_depth;
-        mix = Amoeba_loadgen.Mix.read_write ~read:read_ratio dist;
-        keys;
-        value_dist = Amoeba_loadgen.Dist.Fixed value_bytes;
-        txn_size = 1;
-        duration = duration - ramp;
-        warmup = ramp;
-        seed;
-      }
+      { cfg with D.mix = Amoeba_loadgen.Mix.read_write ~read:read_ratio dist }
     in
-    let host_list = List.init hosts Fun.id in
+    let refuse msg =
+      prerr_endline msg;
+      exit 2
+    in
+    if power_cycle && disk = None then
+      refuse "--power-cycle needs a disk (pass --disk)";
+    if crash_follower && cfg.replication < 2 then
+      refuse "--crash-follower needs replication >= 2";
+    if migrate && cfg.hosts - cfg.replication < cfg.replication then
+      refuse
+        (Printf.sprintf
+           "--migrate: only %d hosts free of shard 0 replicas, %d needed"
+           (cfg.hosts - cfg.replication) cfg.replication);
+    (* Fault times are fractions of the whole run, warm-up included. *)
+    let span = cfg.warmup + cfg.duration in
+    let host_list = List.init cfg.hosts Fun.id in
     let failed = ref false in
     let crashing = crash_seq || crash_follower in
     (* Invariants are checked whenever the run disturbs the service —
@@ -606,7 +485,7 @@ let workload_cmd =
         (if power_cycle then
            let dc = Option.get durable in
            spawn_side (fun () ->
-               Engine.sleep eng (duration / 4);
+               Engine.sleep eng (span / 4);
                (* Sentinel writes: the acked ones are the durability
                   obligations the cycle must not revoke. *)
                let router0 = List.hd rs in
@@ -617,11 +496,11 @@ let workload_cmd =
                  | Router.Written -> acked := i :: !acked
                  | _ -> ()
                done;
-               let cut = duration / 2 in
+               let cut = span / 2 in
                let now = Engine.now eng in
                if cut > now then Engine.sleep eng (cut - now);
                Printf.printf
-                 "power loss: all %d server hosts down at t=%.1fs\n%!" hosts
+                 "power loss: all %d server hosts down at t=%.1fs\n%!" cfg.hosts
                  (Amoeba_sim.Time.to_sec (Engine.now eng));
                List.iter
                  (fun h -> Amoeba_net.Machine.crash (Cluster.machine cl h))
@@ -630,7 +509,7 @@ let workload_cmd =
                List.iter (fun h -> Cluster.restart cl h) host_list;
                let svc' =
                  Service.recover cl ~map ~durable:dc ~resilience:r
-                   ~pipeline:pipeline_depth ()
+                   ~pipeline:cfg.pipeline_depth ()
                in
                List.iter
                  (fun router ->
@@ -681,30 +560,22 @@ let workload_cmd =
         in
         (if migrate then
            spawn_side (fun () ->
-               Engine.sleep eng (duration / 3);
+               Engine.sleep eng (span / 3);
                let cur = Shard_map.replica_hosts (Service.map svc) 0 in
-               let free =
-                 List.filter (fun h -> not (List.mem h cur)) host_list
+               let tgt =
+                 List.filteri (fun i _ -> i < cfg.replication)
+                   (List.filter (fun h -> not (List.mem h cur)) host_list)
                in
-               let k = List.length cur in
-               if List.length free < k then
-                 Printf.printf
-                   "migrate: only %d hosts free of shard 0 replicas, %d \
-                    needed\n%!"
-                   (List.length free) k
-               else begin
-                 let tgt = List.filteri (fun i _ -> i < k) free in
-                 let t0 = Engine.now eng in
-                 match Service.migrate_shard svc ~shard:0 ~hosts:tgt () with
-                 | Ok () ->
-                     repoint ();
-                     Printf.printf
-                       "migrated:  shard 0 [%s] -> [%s] in %.1f simulated ms\n%!"
-                       (pp_hosts cur)
-                       (pp_hosts (Shard_map.replica_hosts (Service.map svc) 0))
-                       (Amoeba_sim.Time.to_sec (Engine.now eng - t0) *. 1000.)
-                 | Error e -> Printf.printf "migrate: failed: %s\n%!" e
-               end));
+               let t0 = Engine.now eng in
+               match Service.migrate_shard svc ~shard:0 ~hosts:tgt () with
+               | Ok () ->
+                   repoint ();
+                   Printf.printf
+                     "migrated:  shard 0 [%s] -> [%s] in %.1f simulated ms\n%!"
+                     (pp_hosts cur)
+                     (pp_hosts (Shard_map.replica_hosts (Service.map svc) 0))
+                     (Amoeba_sim.Time.to_sec (Engine.now eng - t0) *. 1000.)
+               | Error e -> Printf.printf "migrate: failed: %s\n%!" e));
         (if rebalance then
            ignore
              (Rebalancer.start cl svc
@@ -732,19 +603,15 @@ let workload_cmd =
         let crashed =
           (if crash_seq then begin
              let h = Shard_map.sequencer_host map 0 in
-             crash_at (duration / 2) "sequencer" h;
+             crash_at (span / 2) "sequencer" h;
              [ h ]
            end
            else [])
           @
           if crash_follower then begin
-            match Shard_map.replica_hosts map 0 with
-            | _seq :: follower :: _ ->
-                crash_at (duration / 2) "serving follower" follower;
-                [ follower ]
-            | _ ->
-                Printf.eprintf "--crash-follower needs replication >= 2\n";
-                exit 2
+            let follower = List.nth (Shard_map.replica_hosts map 0) 1 in
+            crash_at (span / 2) "serving follower" follower;
+            [ follower ]
           end
           else []
         in
@@ -754,28 +621,7 @@ let workload_cmd =
         in
         List.iter (Ivar.read eng) !side;
         Format.printf "%a@." D.pp_trial t;
-        if json then
-          print_string
-            (Bench_json.to_string
-               (Bench_json.Obj
-                  [
-                    ("attempted", Bench_json.Int t.D.attempted);
-                    ("completed", Bench_json.Int t.D.completed);
-                    ("failed", Bench_json.Int t.D.failed);
-                    ("ops_per_sec", Bench_json.Float t.D.throughput);
-                    ("mean_ms", Bench_json.Float t.D.mean_ms);
-                    ("p50_ms", Bench_json.Float t.D.p50_ms);
-                    ("p95_ms", Bench_json.Float t.D.p95_ms);
-                    ("p99_ms", Bench_json.Float t.D.p99_ms);
-                    ("max_ms", Bench_json.Float t.D.max_ms);
-                    ("reads", Bench_json.Int t.D.reads);
-                    ("writes", Bench_json.Int t.D.updates);
-                    ( "per_shard",
-                      Bench_json.List
-                        (List.map
-                           (fun c -> Bench_json.Int c)
-                           (Array.to_list t.D.per_shard)) );
-                  ]));
+        if json then print_string (Bench_json.to_string (D.trial_to_json t));
         let agg f = List.fold_left (fun a r -> a + f (Router.stats r)) 0 rs in
         Printf.printf
           "routers:   %d ops, %d retries, %d failovers, %d dead probes\n"
@@ -795,20 +641,6 @@ let workload_cmd =
           (agg (fun s -> s.Router.batch_retries));
         Printf.printf "service:   %d reads, %d writes ok, %d busy rejections\n"
           (Service.reads svc) (Service.writes_ok svc) (Service.writes_busy svc);
-        (* Per-replica applied counts by shard: identical numbers mean a
-           healthy group, divergent ones a fissioned membership — the
-           fingerprint that cracked the 32-shard herd collapse.  Env-
-           gated so normal output stays stable for the smoke aliases. *)
-        (try
-           if Sys.getenv "AMOEBA_SHARD_DEBUG" = "1" then
-             for s = 0 to shards - 1 do
-               Printf.printf "shard %d applied: %s\n" s
-                 (String.concat " "
-                    (List.map
-                       (fun (h, a) -> Printf.sprintf "m%d:%d" h a)
-                       (Service.applied svc s)))
-             done
-         with Not_found -> ());
         let m = cl.Cluster.net in
         Printf.printf
           "fabric:    %.1f%% utilisation, %d frames, %d KB, %d collisions, %d \
@@ -847,7 +679,19 @@ let workload_cmd =
             (Service.check svc ~crashed);
           Printf.printf "verdict:   %s\n"
             (if !failed then "FAIL" else "PASS")
-        end);
+        end;
+        (* Per-replica applied counts by shard, printed when the verdict
+           fails or some operation did not complete: identical numbers
+           mean a healthy group, divergent ones a fissioned membership —
+           the fingerprint that cracked the 32-shard herd collapse. *)
+        if !failed || t.D.completed < t.D.attempted then
+          for s = 0 to cfg.shards - 1 do
+            Printf.printf "shard %d applied: %s\n" s
+              (String.concat " "
+                 (List.map
+                    (fun (h, a) -> Printf.sprintf "m%d:%d" h a)
+                    (Service.applied svc s)))
+          done);
     if !failed then exit 1
   in
   Cmd.v
@@ -856,45 +700,43 @@ let workload_cmd =
          "Drive the sharded service with a measured open- or closed-loop \
           key/value workload (aggregate throughput, latency percentiles).")
     Term.(
-      const run $ shards_t $ hosts_t $ routers_t $ replication_t $ resilience_t
-      $ keys_t $ value_bytes_t $ read_ratio_t $ dist_t $ skew_t $ workers_t
-      $ rate_t $ duration_t $ ramp_t $ seed_t $ net_t $ wire_t $ crash_seq_t
-      $ crash_follower_t $ max_batch_t $ batch_delay_t $ pipeline_depth_t
-      $ disk_t $ checkpoint_every_t $ fsync_t $ power_cycle_t $ stale_reads_t
-      $ migrate_t $ rebalance_t $ json_t)
+      const run
+      $ scenario_t
+          {
+            D.default with
+            shards = 4;
+            hosts = 8;
+            routers = 4;
+            replication = 3;
+            wire_mbps = 10;
+            txn_size = 1;
+            duration = Amoeba_sim.Time.ms 5_000;
+            warmup = Amoeba_sim.Time.zero;
+            seed = 1;
+          }
+      $ resilience_t $ read_ratio_t $ dist_t $ skew_t $ workers_t $ rate_t
+      $ crash_seq_t $ crash_follower_t $ disk_t $ checkpoint_every_t $ fsync_t
+      $ power_cycle_t $ stale_reads_t $ migrate_t $ rebalance_t $ json_t)
 
 let migration_chaos_cmd =
   let seed_t =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scenario seed.")
   in
   let crash_source_t =
-    Arg.(
-      value & flag
-      & info [ "crash-source" ]
-          ~doc:"Crash the source sequencer machine mid-migration.")
+    flag "crash-source" "Crash the source sequencer machine mid-migration."
   in
   let crash_dest_t =
-    Arg.(
-      value & flag
-      & info [ "crash-dest" ]
-          ~doc:"Crash the destination head machine mid-migration.")
+    flag "crash-dest" "Crash the destination head machine mid-migration."
   in
   let power_cycle_t =
-    Arg.(
-      value & flag
-      & info [ "power-cycle" ]
-          ~doc:
-            "Power off every server host mid-migration, restart 275 ms \
-             later, recover from the union of old and new replica disks, \
-             and read back the pre-migration sentinels (fsync-per-commit: \
-             any acked sentinel lost fails the run).")
+    flag "power-cycle"
+      "Power off every server host mid-migration, restart 275 ms later, \
+       recover from the union of old and new replica disks, and read back \
+       the pre-migration sentinels (fsync-per-commit: any acked sentinel \
+       lost fails the run)."
   in
-  let workers_t =
-    Arg.(value & opt int 8 & info [ "workers" ] ~doc:"Closed-loop clients.")
-  in
-  let duration_t =
-    Arg.(value & opt int 1200 & info [ "duration" ] ~doc:"Simulated ms.")
-  in
+  let workers_t = opt count 8 "workers" "Closed-loop clients." in
+  let duration_t = opt count 1200 "duration" "Simulated ms." in
   let run seed net crash_source crash_dest power_cycle workers duration_ms =
     let module Migration_chaos = Amoeba_loadgen.Migration_chaos in
     let spec =
@@ -926,245 +768,94 @@ let migration_chaos_cmd =
 let loadgen_cmd =
   let module L = Amoeba_loadgen in
   let mix_t =
-    Arg.(
-      value & opt string "a"
-      & info [ "mix" ]
-          ~doc:
-            "YCSB mix: a (50/50 update-heavy, Zipf), b (95/5 read-mostly, \
-             Zipf), c (read-only, Zipf), d (95/5 read-latest + inserts).")
+    opt
+      (string_conv L.Mix.of_string (fun m -> m.L.Mix.name))
+      L.Mix.ycsb_a "mix"
+      "YCSB mix: a (50/50 update-heavy, Zipf), b (95/5 read-mostly, Zipf), \
+       c (read-only, Zipf), d (95/5 read-latest + inserts)."
   in
   let txn_ratio_t =
-    Arg.(
-      value & opt float 0.0
-      & info [ "txn-ratio" ]
-          ~doc:
-            "Fraction of operations issued as multi-key single-shard \
-             read-modify-write transactions (taken from the mix's update \
-             share first).")
+    opt ratio 0.0 "txn-ratio"
+      "Fraction of operations issued as multi-key single-shard \
+       read-modify-write transactions (taken from the mix's update share \
+       first)."
   in
-  let txn_size_t =
-    Arg.(
-      value & opt int 3
-      & info [ "txn-size" ] ~doc:"Keys per multi-key transaction.")
+  let txn_size_t = opt count 3 "txn-size" "Keys per multi-key transaction." in
+  (* The scenario plus the mix; a transaction share the mix cannot
+     give up is a usage error too. *)
+  let scenario =
+    let with_mix cfg mix txn_ratio txn_size =
+      match
+        if txn_ratio > 0.0 then L.Mix.with_txn mix ~size_hint:txn_size txn_ratio
+        else mix
+      with
+      | mix -> Ok { cfg with D.mix; txn_size }
+      | exception Invalid_argument e -> Error e
+    in
+    Term.(
+      term_result' ~usage:true
+        (const with_mix $ scenario_t D.default $ mix_t $ txn_ratio_t
+       $ txn_size_t))
   in
-  let keys_t =
-    Arg.(value & opt int 1_000 & info [ "keys" ] ~doc:"Key space size.")
-  in
-  let value_dist_t =
-    Arg.(
-      value & opt string "fixed:32"
-      & info [ "value-dist" ]
-          ~doc:
-            "Value size distribution: fixed:N, uniform:MIN:MAX, or \
-             lognormal:MEDIAN:SIGMA.")
-  in
-  let shards_t =
-    Arg.(value & opt int 1 & info [ "shards" ] ~doc:"Shard count.")
-  in
-  let hosts_t =
-    Arg.(value & opt int 4 & info [ "hosts" ] ~doc:"Replica host machines.")
-  in
-  let routers_t =
-    Arg.(value & opt int 2 & info [ "routers" ] ~doc:"Router machines.")
-  in
-  let replication_t =
-    Arg.(value & opt int 2 & info [ "replication" ] ~doc:"Replicas per shard.")
-  in
-  let wire_t =
-    Arg.(value & opt int 100 & info [ "wire-mbps" ] ~doc:"Wire speed, Mbit/s.")
-  in
-  let max_batch_t =
-    Arg.(value & opt int 32 & info [ "max-batch" ] ~doc:"Router op batching.")
-  in
-  let pipeline_depth_t =
-    Arg.(
-      value & opt int 4
-      & info [ "pipeline-depth" ] ~doc:"Kernel in-flight sequencer rounds.")
-  in
-  let duration_t =
-    Arg.(
-      value & opt int 2_000
-      & info [ "duration" ] ~doc:"Measured window per trial, simulated ms.")
-  in
-  let warmup_t =
-    Arg.(
-      value & opt int 500
-      & info [ "warmup" ]
-          ~doc:"Warmup per trial, simulated ms (excluded from figures).")
-  in
-  let seed_t = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Trial seed.") in
   let slo_t =
-    Arg.(
-      value & opt float 50.0
-      & info [ "slo-p99-ms" ] ~doc:"The SLO: trial p99 must stay under this.")
+    opt positive 50.0 "slo-p99-ms" "The SLO: trial p99 must stay under this."
   in
   let min_completion_t =
-    Arg.(
-      value & opt float 0.95
-      & info [ "min-completion" ]
-          ~doc:"And completed/attempted must reach this.")
+    opt ratio 0.95 "min-completion" "And completed/attempted must reach this."
   in
   let rate_t =
-    Arg.(
-      value & opt (some float) None
-      & info [ "rate" ]
-          ~doc:
-            "Run one open-loop trial at this offered rate (ops/s) instead \
-             of searching for the knee.")
+    opt (Arg.some rate) None "rate"
+      "Run one open-loop trial at this offered rate (ops/s) instead of \
+       searching for the knee."
   in
   let lo_t =
-    Arg.(
-      value & opt float 50.0
-      & info [ "lo" ] ~doc:"Floor rate the saturation search starts from.")
+    opt rate 50.0 "lo" "Floor rate the saturation search starts from."
   in
   let tol_t =
-    Arg.(
-      value & opt float 0.08
-      & info [ "tol" ] ~doc:"Relative bracket width the search converges to.")
+    opt positive 0.08 "tol" "Relative bracket width the search converges to."
   in
-  let max_probes_t =
-    Arg.(
-      value & opt int 14
-      & info [ "max-probes" ] ~doc:"Trial budget for the search.")
-  in
-  let sweep_t =
-    Arg.(
-      value & flag
-      & info [ "sweep" ]
-          ~doc:
-            "Run the full shard-count x fabric sweep (the bench loadgen \
-             target) instead of a single configuration; --shards/--net etc. \
-             are ignored.")
-  in
-  let smoke_t =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Tiny windows, key space and probe budget (CI parameters).")
-  in
-  let json_t =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "With --sweep: validate and write BENCH_loadgen.json.  \
-             Otherwise: also print the outcome as a JSON object.")
-  in
-  let run mix txn_ratio txn_size keys value_dist shards hosts routers
-      replication wire_mbps max_batch pipeline_depth (fabric, net) duration_ms
-      warmup_ms seed slo_p99 min_completion rate lo tol max_probes sweep smoke
-      json =
-    let mix =
-      match L.Mix.of_string mix with
-      | Ok m -> m
-      | Error e ->
-          Printf.eprintf "%s\n" e;
-          exit 2
-    in
-    let mix =
-      if txn_ratio > 0.0 then L.Mix.with_txn mix ~size_hint:txn_size txn_ratio
-      else mix
-    in
-    let value_dist =
-      match L.Dist.of_string value_dist with
-      | Ok d -> d
-      | Error e ->
-          Printf.eprintf "%s\n" e;
-          exit 2
-    in
-    let slo = { L.Saturation.p99_ms = slo_p99; min_completion } in
-    (* --smoke clamps toward the CI parameters wherever the flag is
-       still at its default-ish scale. *)
-    let duration_ms = if smoke then min duration_ms 400 else duration_ms in
-    let warmup_ms = if smoke then min warmup_ms 100 else warmup_ms in
-    let keys = if smoke then min keys 200 else keys in
-    let max_probes = if smoke then min max_probes 8 else max_probes in
-    let tol = if smoke then Float.max tol 0.25 else tol in
-    let lo = if smoke then Float.max lo 100.0 else lo in
-    let params =
-      {
-        L.Report.slo;
-        mix;
-        keys;
-        value_dist;
-        txn_size;
-        duration_ms;
-        warmup_ms;
-        replication;
-        wire_mbps;
-        max_batch;
-        pipeline_depth;
-        lo;
-        tol;
-        max_probes;
-        seed;
-      }
-    in
-    if sweep then begin
-      L.Report.print_header ();
-      let rows =
-        L.Report.sweep ~progress:L.Report.print_row ~smoke params
-      in
-      if json then
-        L.Report.write_json ~path:"BENCH_loadgen.json" params rows
-    end
-    else begin
-      let net = Amoeba_net.Medium.net_to_string (fabric, net) in
-      match rate with
-      | Some rate ->
-          let t =
-            L.Driver.run (L.Report.config_of params ~shards ~hosts ~routers ~net)
-              ~rate
-          in
-          Format.printf "%a@." L.Driver.pp_trial t;
-          if json then
-            print_string
-              (Bench_json.to_string
-                 (Bench_json.Obj
-                    [
-                      ("offered", Bench_json.Float t.L.Driver.offered);
-                      ("attempted", Bench_json.Int t.L.Driver.attempted);
-                      ("completed", Bench_json.Int t.L.Driver.completed);
-                      ("failed", Bench_json.Int t.L.Driver.failed);
-                      ("throughput", Bench_json.Float t.L.Driver.throughput);
-                      ("completion", Bench_json.Float t.L.Driver.completion);
-                      ("p50_ms", Bench_json.Float t.L.Driver.p50_ms);
-                      ("p95_ms", Bench_json.Float t.L.Driver.p95_ms);
-                      ("p99_ms", Bench_json.Float t.L.Driver.p99_ms);
-                    ]))
-      | None ->
-          let o =
-            (L.Report.run_row params ~shards ~hosts ~routers ~net)
-              .L.Report.outcome
-          in
-          Format.printf "%a@." L.Saturation.pp_outcome o;
-          if json then
-            print_string
-              (Bench_json.to_string
-                 (Bench_json.Obj
-                    [
-                      ("knee_ops_per_sec", Bench_json.Float o.L.Saturation.knee);
-                      ( "throughput_at_knee",
-                        Bench_json.Float o.L.Saturation.throughput_at_knee );
-                      ( "probes",
-                        Bench_json.Int (List.length o.L.Saturation.probes) );
-                      ("converged", Bench_json.Bool o.L.Saturation.converged);
-                    ]))
-    end
+  let max_probes_t = opt count 14 "max-probes" "Trial budget for the search." in
+  let json_t = flag "json" "Also print the outcome as a JSON object." in
+  let run cfg p99_ms min_completion rate lo tol max_probes json =
+    match rate with
+    | Some rate ->
+        let t = D.run cfg ~rate in
+        Format.printf "%a@." D.pp_trial t;
+        if json then print_string (Bench_json.to_string (D.trial_to_json t))
+    | None ->
+        let o =
+          L.Report.knee
+            {
+              L.Report.base = cfg;
+              slo = { L.Saturation.p99_ms; min_completion };
+              lo;
+              tol;
+              max_probes;
+            }
+        in
+        Format.printf "%a@." L.Saturation.pp_outcome o;
+        if json then
+          print_string
+            (Bench_json.to_string
+               (Bench_json.Obj
+                  [
+                    ("knee_ops_per_sec", Bench_json.Float o.L.Saturation.knee);
+                    ( "throughput_at_knee",
+                      Bench_json.Float o.L.Saturation.throughput_at_knee );
+                    ("probes", Bench_json.Int (List.length o.L.Saturation.probes));
+                    ("converged", Bench_json.Bool o.L.Saturation.converged);
+                  ]))
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
          "YCSB-style open-loop load generation: drive a mixed workload at a \
           fixed offered rate, or binary-search the highest rate that meets \
-          a tail-latency SLO (the saturation knee), per configuration or as \
-          a full shard x fabric sweep.")
+          a tail-latency SLO (the saturation knee).  The shard x fabric \
+          sweep is `bench/main.exe loadgen`.")
     Term.(
-      const run $ mix_t $ txn_ratio_t $ txn_size_t $ keys_t $ value_dist_t
-      $ shards_t $ hosts_t $ routers_t $ replication_t $ wire_t $ max_batch_t
-      $ pipeline_depth_t $ net_t $ duration_t $ warmup_t $ seed_t $ slo_t
-      $ min_completion_t $ rate_t $ lo_t $ tol_t $ max_probes_t $ sweep_t
-      $ smoke_t $ json_t)
+      const run $ scenario $ slo_t $ min_completion_t $ rate_t $ lo_t $ tol_t
+      $ max_probes_t $ json_t)
 
 let main =
   Cmd.group
@@ -1178,7 +869,6 @@ let main =
       costs_cmd;
       rpc_cmd;
       chaos_cmd;
-      serve_cmd;
       workload_cmd;
       migration_chaos_cmd;
       loadgen_cmd;

@@ -374,26 +374,6 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
     |> List.rev_map (fun (_, label, evs, full, _, _) ->
            { Checker.label; events = List.rev !evs; full })
   in
-  if Sys.getenv_opt "CHAOS_DEBUG" <> None then
-    for j = 0 to groups - 1 do
-      List.iter
-        (fun s ->
-          Printf.eprintf "%s:" s.Checker.label;
-          List.iter
-            (fun e ->
-              match e with
-              | Message { seq; sender; body } ->
-                  Printf.eprintf " %d(m%d:%s)" seq sender (Bytes.to_string body)
-              | Member_joined { seq; mid } ->
-                  Printf.eprintf " %d(join%d)" seq mid
-              | Member_left { seq; mid } -> Printf.eprintf " %d(left%d)" seq mid
-              | Group_reset { seq; incarnation; _ } ->
-                  Printf.eprintf " %d(reset@%d)" seq incarnation
-              | Expelled -> Printf.eprintf " EXPELLED")
-            s.Checker.events;
-          Printf.eprintf "\n")
-        (streams_of j @ streams_of ~post:true j)
-    done;
   let dur_applies = durability_applies ~resilience sched in
   (* One independent checker run per group: each group promises its
      own total order, never anything across groups. *)
@@ -470,6 +450,28 @@ let run ?(n = 4) ?(groups = 1) ?(resilience = 0) ?(send_method = Pb)
                  })
                vs))
   in
+  (* A failing verdict is explained by the delivery streams it was
+     checked against: print them all to stderr. *)
+  if not (Checker.all_ok verdicts) then
+    for j = 0 to groups - 1 do
+      List.iter
+        (fun s ->
+          Printf.eprintf "%s:" s.Checker.label;
+          List.iter
+            (fun e ->
+              match e with
+              | Message { seq; sender; body } ->
+                  Printf.eprintf " %d(m%d:%s)" seq sender (Bytes.to_string body)
+              | Member_joined { seq; mid } ->
+                  Printf.eprintf " %d(join%d)" seq mid
+              | Member_left { seq; mid } -> Printf.eprintf " %d(left%d)" seq mid
+              | Group_reset { seq; incarnation; _ } ->
+                  Printf.eprintf " %d(reset@%d)" seq incarnation
+              | Expelled -> Printf.eprintf " EXPELLED")
+            s.Checker.events;
+          Printf.eprintf "\n")
+        (streams_of j @ streams_of ~post:true j)
+    done;
   let sum f =
     List.fold_left (fun acc g -> acc + f (Api.get_info_group g)) 0 !handles
   in

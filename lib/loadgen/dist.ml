@@ -1,6 +1,20 @@
 type t = Fixed of int | Uniform of int * int | Lognormal of float * float
 
-let of_string s =
+(* Each write builds its value as one string, so a bound on the size
+   keeps one draw from exhausting memory; 1 MiB is 128 times the
+   paper's largest message. *)
+let max_bytes = 1 lsl 20
+
+(* The farthest [draw]'s Box-Muller Z can fall: its uniform is a
+   multiple of 2^-53, so -2 ln (1 - u) <= 106 ln 2. *)
+let z_max = sqrt (106.0 *. log 2.0)
+
+let largest = function
+  | Fixed n -> float_of_int n
+  | Uniform (_, b) -> float_of_int b
+  | Lognormal (median, sigma) -> median *. exp (sigma *. z_max)
+
+let parse s =
   let int_arg name v =
     match int_of_string_opt v with
     | Some n when n >= 1 -> Ok n
@@ -23,6 +37,12 @@ let of_string s =
            "unknown value distribution %S (fixed:N | uniform:MIN:MAX | \
             lognormal:MEDIAN:SIGMA)"
            s)
+
+let of_string s =
+  match parse s with
+  | Ok d when largest d > float_of_int max_bytes ->
+      Error (s ^ " can draw values above 1 MiB")
+  | r -> r
 
 let to_string = function
   | Fixed n -> Printf.sprintf "fixed:%d" n

@@ -9,7 +9,9 @@ type t =
           values small, a fat tail of large ones) *)
 
 val of_string : string -> (t, string) result
-(** ["fixed:32"], ["uniform:16:256"], ["lognormal:64:1.0"]. *)
+(** ["fixed:32"], ["uniform:16:256"], ["lognormal:64:1.0"].  A
+    distribution that can draw a value above 1 MiB is an error; for
+    [Lognormal] the largest draw is [median·exp(8.57σ)]. *)
 
 val to_string : t -> string
 

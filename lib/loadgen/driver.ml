@@ -331,3 +331,25 @@ let pp_trial ppf (t : trial) =
     t.p50_ms t.p95_ms t.p99_ms t.max_ms t.reads t.updates t.inserts t.txns
     Fmt.(brackets (list ~sep:comma int))
     (Array.to_list t.per_shard)
+
+let trial_to_json (t : trial) =
+  let open Bench_json in
+  Obj
+    [
+      ("offered", Float t.offered);
+      ("attempted", Int t.attempted);
+      ("completed", Int t.completed);
+      ("failed", Int t.failed);
+      ("throughput", Float t.throughput);
+      ("completion", Float t.completion);
+      ("mean_ms", number t.mean_ms);
+      ("p50_ms", number t.p50_ms);
+      ("p95_ms", number t.p95_ms);
+      ("p99_ms", number t.p99_ms);
+      ("max_ms", number t.max_ms);
+      ("reads", Int t.reads);
+      ("updates", Int t.updates);
+      ("inserts", Int t.inserts);
+      ("txns", Int t.txns);
+      ("per_shard", List (List.map (fun c -> Int c) (Array.to_list t.per_shard)));
+    ]

@@ -117,3 +117,7 @@ val run : config -> rate:float -> trial
     [(config, rate)]. *)
 
 val pp_trial : Format.formatter -> trial -> unit
+
+val trial_to_json : trial -> Bench_json.t
+(** Every field of the trial under its own name; a latency with no
+    sample behind it is [null]. *)

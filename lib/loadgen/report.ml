@@ -1,40 +1,27 @@
 open Amoeba_net
 
 type params = {
+  base : Driver.config;
   slo : Saturation.slo;
-  mix : Mix.t;
-  keys : int;
-  value_dist : Dist.t;
-  txn_size : int;
-  duration_ms : int;
-  warmup_ms : int;
-  replication : int;
-  wire_mbps : int;
-  max_batch : int;
-  pipeline_depth : int;
   lo : float;
   tol : float;
   max_probes : int;
-  seed : int;
 }
 
 let default_params ~smoke =
   {
+    base =
+      {
+        Driver.default with
+        mix = Mix.with_txn Mix.ycsb_a ~size_hint:3 0.05;
+        keys = (if smoke then 200 else 1_000);
+        duration = Amoeba_sim.Time.ms (if smoke then 400 else 2_000);
+        warmup = Amoeba_sim.Time.ms (if smoke then 100 else 500);
+      };
     slo = { Saturation.p99_ms = 50.0; min_completion = 0.95 };
-    mix = Mix.with_txn Mix.ycsb_a ~size_hint:3 0.05;
-    keys = (if smoke then 200 else 1_000);
-    value_dist = Dist.Fixed 32;
-    txn_size = 3;
-    duration_ms = (if smoke then 400 else 2_000);
-    warmup_ms = (if smoke then 100 else 500);
-    replication = 2;
-    wire_mbps = 100;
-    max_batch = 32;
-    pipeline_depth = 4;
     lo = (if smoke then 100.0 else 50.0);
     tol = (if smoke then 0.25 else 0.08);
     max_probes = (if smoke then 8 else 14);
-    seed = 11;
   }
 
 type row = {
@@ -71,51 +58,30 @@ let sweep_configs ~smoke =
       (8, 8, 4, "switch+bursty");
     ]
 
-let config_of params ~shards ~hosts ~routers ~net =
-  let netspec =
-    match Medium.net_of_string net with
-    | Ok n -> n
-    | Error e -> failwith ("loadgen sweep: " ^ e)
-  in
-  {
-    Driver.shards;
-    hosts;
-    routers;
-    replication = params.replication;
-    wire_mbps = params.wire_mbps;
-    net = netspec;
-    max_batch = params.max_batch;
-    batch_delay_us = 500;
-    pipeline_depth = params.pipeline_depth;
-    mix = params.mix;
-    keys = params.keys;
-    value_dist = params.value_dist;
-    txn_size = params.txn_size;
-    duration = Amoeba_sim.Time.ms params.duration_ms;
-    warmup = Amoeba_sim.Time.ms params.warmup_ms;
-    seed = params.seed;
-  }
-
-let run_row params ~shards ~hosts ~routers ~net =
-  let cfg = config_of params ~shards ~hosts ~routers ~net in
+let knee p =
   let measure rate =
-    let t = Driver.run cfg ~rate in
+    let t = Driver.run p.base ~rate in
     {
       Saturation.m_p99_ms = t.Driver.p99_ms;
       m_completion = t.Driver.completion;
       m_throughput = t.Driver.throughput;
     }
   in
-  let outcome =
-    Saturation.search ~lo:params.lo ~tol:params.tol
-      ~max_probes:params.max_probes ~slo:params.slo measure
-  in
-  { shards; hosts; routers; net; outcome }
+  Saturation.search ~lo:p.lo ~tol:p.tol ~max_probes:p.max_probes ~slo:p.slo
+    measure
 
 let sweep ?progress ~smoke params =
   List.map
     (fun (shards, hosts, routers, net) ->
-      let row = run_row params ~shards ~hosts ~routers ~net in
+      let netspec =
+        match Medium.net_of_string net with
+        | Ok n -> n
+        | Error e -> failwith ("loadgen sweep: " ^ e)
+      in
+      let base = { params.base with shards; hosts; routers; net = netspec } in
+      let row =
+        { shards; hosts; routers; net; outcome = knee { params with base } }
+      in
       Option.iter (fun f -> f row) progress;
       row)
     (sweep_configs ~smoke)
@@ -132,11 +98,9 @@ let print_row r =
     (List.length o.Saturation.probes)
     (if o.Saturation.converged then "yes" else "NO")
 
-(* JSON floats must be finite: an all-fail row has nan p99/completion,
-   which Bench_json would print as "nan" — not JSON.  Encode as null. *)
-let jfloat x = if Float.is_nan x then Bench_json.Null else Bench_json.Float x
+let ms t = int_of_float (Amoeba_sim.Time.to_ms t)
 
-let row_to_json params r =
+let row_to_json (b : Driver.config) r =
   let o = r.outcome in
   Bench_json.Obj
     [
@@ -144,14 +108,14 @@ let row_to_json params r =
       ("hosts", Bench_json.Int r.hosts);
       ("routers", Bench_json.Int r.routers);
       ("net", Bench_json.Str r.net);
-      ("mix", Bench_json.Str params.mix.Mix.name);
+      ("mix", Bench_json.Str b.mix.Mix.name);
       ("knee_ops_per_sec", Bench_json.Float o.Saturation.knee);
       ("throughput_at_knee", Bench_json.Float o.Saturation.throughput_at_knee);
-      ("p99_ms_at_knee", jfloat o.Saturation.p99_at_knee);
-      ("completion_at_knee", jfloat o.Saturation.completion_at_knee);
+      ("p99_ms_at_knee", Bench_json.number o.Saturation.p99_at_knee);
+      ("completion_at_knee", Bench_json.number o.Saturation.completion_at_knee);
       ("probes", Bench_json.Int (List.length o.Saturation.probes));
       ("converged", Bench_json.Bool o.Saturation.converged);
-      ("seed", Bench_json.Int params.seed);
+      ("seed", Bench_json.Int b.seed);
       ( "probe_rates",
         Bench_json.List
           (List.map
@@ -159,33 +123,34 @@ let row_to_json params r =
                Bench_json.Obj
                  [
                    ("rate", Bench_json.Float p.Saturation.rate);
-                   ("p99_ms", jfloat p.Saturation.p99_ms);
-                   ("completion", jfloat p.Saturation.completion);
+                   ("p99_ms", Bench_json.number p.Saturation.p99_ms);
+                   ("completion", Bench_json.number p.Saturation.completion);
                    ("pass", Bench_json.Bool p.Saturation.pass);
                  ])
              o.Saturation.probes) );
     ]
 
 let to_json params rows =
+  let b = params.base in
   Bench_json.Obj
     [
       ("schema", Bench_json.Str "amoeba-bench/1");
       ("suite", Bench_json.Str "loadgen");
       ("slo_p99_ms", Bench_json.Float params.slo.Saturation.p99_ms);
       ("min_completion", Bench_json.Float params.slo.Saturation.min_completion);
-      ("mix", Bench_json.Str params.mix.Mix.name);
-      ("keys", Bench_json.Int params.keys);
-      ("value_dist", Bench_json.Str (Dist.to_string params.value_dist));
-      ("txn_size", Bench_json.Int params.txn_size);
-      ("duration_ms", Bench_json.Int params.duration_ms);
-      ("warmup_ms", Bench_json.Int params.warmup_ms);
-      ("replication", Bench_json.Int params.replication);
-      ("wire_mbps", Bench_json.Int params.wire_mbps);
-      ("max_batch", Bench_json.Int params.max_batch);
-      ("pipeline_depth", Bench_json.Int params.pipeline_depth);
+      ("mix", Bench_json.Str b.mix.Mix.name);
+      ("keys", Bench_json.Int b.keys);
+      ("value_dist", Bench_json.Str (Dist.to_string b.value_dist));
+      ("txn_size", Bench_json.Int b.txn_size);
+      ("duration_ms", Bench_json.Int (ms b.duration));
+      ("warmup_ms", Bench_json.Int (ms b.warmup));
+      ("replication", Bench_json.Int b.replication);
+      ("wire_mbps", Bench_json.Int b.wire_mbps);
+      ("max_batch", Bench_json.Int b.max_batch);
+      ("pipeline_depth", Bench_json.Int b.pipeline_depth);
       ("search_tol", Bench_json.Float params.tol);
-      ("seed", Bench_json.Int params.seed);
-      ("rows", Bench_json.List (List.map (row_to_json params) rows));
+      ("seed", Bench_json.Int b.seed);
+      ("rows", Bench_json.List (List.map (row_to_json b) rows));
     ]
 
 (* --- schema check --- *)

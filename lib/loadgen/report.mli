@@ -1,29 +1,22 @@
 (** The loadgen sweep: saturation search across shard count × fabric,
     the knee-of-curve table, and the validated [BENCH_loadgen.json]
-    emission shared by [bench/main.exe loadgen] and [amoeba loadgen
-    --sweep]. *)
+    emission of [bench/main.exe loadgen]; [amoeba loadgen] runs one
+    {!knee}. *)
 
 type params = {
+  base : Driver.config;
+      (** the scenario every trial runs; a sweep row overrides its
+          [shards], [hosts], [routers] and [net] *)
   slo : Saturation.slo;
-  mix : Mix.t;
-  keys : int;
-  value_dist : Dist.t;
-  txn_size : int;
-  duration_ms : int;
-  warmup_ms : int;
-  replication : int;
-  wire_mbps : int;
-  max_batch : int;
-  pipeline_depth : int;
   lo : float;  (** floor rate the search starts from *)
   tol : float;
   max_probes : int;
-  seed : int;
 }
 
 val default_params : smoke:bool -> params
-(** Full: YCSB-A + 5 % 3-key transactions, p99 ≤ 50 ms at ≥ 95 %
-    completion, 2 s windows.  Smoke: tiny windows and probe budget. *)
+(** Full: YCSB-A + 5 % 3-key transactions over {!Driver.default}'s
+    cluster, p99 ≤ 50 ms at ≥ 95 % completion, 2 s windows.  Smoke:
+    tiny windows, key space and probe budget. *)
 
 type row = {
   shards : int;
@@ -39,14 +32,8 @@ val sweep_configs : smoke:bool -> (int * int * int * string) list
     bursty-loss rows on each fabric — 10 configurations.  Smoke: two
     tiny ones, one with the adversarial profile. *)
 
-val config_of :
-  params -> shards:int -> hosts:int -> routers:int -> net:string -> Driver.config
-(** The driver config of one sweep configuration; raises [Failure] on
-    an unparseable [net]. *)
-
-val run_row :
-  params -> shards:int -> hosts:int -> routers:int -> net:string -> row
-(** One saturation search; raises [Failure] on an unparseable [net]. *)
+val knee : params -> Saturation.outcome
+(** The SLO saturation search on [base]: deterministic in [params]. *)
 
 val sweep : ?progress:(row -> unit) -> smoke:bool -> params -> row list
 

@@ -96,7 +96,17 @@ let test_dist_parse () =
       match Dist.of_string s with
       | Ok _ -> Alcotest.failf "%S should not parse" s
       | Error _ -> ())
-    [ ""; "fixed"; "fixed:x"; "uniform:9"; "gauss:3" ]
+    [
+      "";
+      "fixed";
+      "fixed:x";
+      "uniform:9";
+      "gauss:3";
+      (* values no run can carry *)
+      "fixed:1048577";
+      "uniform:1:1073741824";
+      "lognormal:1:20";
+    ]
 
 let test_dist_draw_ranges () =
   let rng = Random.State.make [| 42 |] in
