@@ -26,11 +26,22 @@ type stats = {
 
 type op = Get of string | Put of string * string | Del of string
 
+(* What a shard's pipeline carries: a lone op, or a transaction whose
+   ops ship in one frame and are settled and retried as one unit. *)
+type item = Kv.request * reply Ivar.t
+type job = Op of item | Txn of item list
+
+let items = function Op item -> [ item ] | Txn items -> items
+
 type shard_state = {
-  queue : (Kv.request * reply Ivar.t) Channel.t;
+  queue : job Channel.t;
   turn : unit Channel.t;
       (* one token: the right to gather the next batch off the queue
          (batching mode only) *)
+  mutable deferred : job list;
+      (* transactions that shared a key with another transaction in
+         the last batch; they go first in the next (batching mode
+         only) *)
   mutable eps : Service.endpoint array;
   mutable suspect : bool array;
   mutable reserve : bool array;
@@ -51,9 +62,6 @@ type t = {
   max_batch : int;
   batch_delay : Time.t;
   stale_reads : bool;
-  mutable txn_client : Rpc.client option;
-      (* created on first [txn]: an idle client must cost nothing, so
-         a router that never runs transactions stays bit-identical *)
   mutable jseed : int;  (* xorshift state for retry-backoff jitter *)
   mutable s_stale_gets : int;
   mutable s_ops : int;
@@ -171,32 +179,56 @@ let react t ss attempt = function
         fail_over t ss ep
       end
 
-(* Fans a reply vector back to its waiters and returns the refused ops
-   with their refusals.  A [Wrong_shard] reply is final: the router
-   hashes with the same map that picked this shard, so another try
-   would land on the replica that just refused it. *)
-let settle t items replies =
-  List.filter_map
-    (fun (((_, iv) as item), rep) ->
-      let answer a =
-        ignore (Ivar.try_fill iv a);
-        None
-      in
+(* The first [n] elements of [xs], and the rest. *)
+let rec split n xs =
+  match xs with
+  | x :: rest when n > 0 ->
+      let mine, rest = split (n - 1) rest in
+      (x :: mine, rest)
+  | _ -> ([], xs)
+
+(* Fans a reply vector back to its jobs' waiters and returns the jobs
+   refused, each with its refusals.  A transaction is settled whole:
+   one refused op holds back every reply of it, and the whole
+   transaction goes round again, because its reads are its post-image
+   only when they come from the round that applied its writes.  A
+   [Wrong_shard] reply is final: the router hashes with the same map
+   that picked this shard, so another try would land on the replica
+   that just refused it. *)
+let settle t jobs replies =
+  let answer (_, iv) rep =
+    let a =
       match rep with
-      | Kv.Value v -> answer (Value v)
-      | Kv.Not_found -> answer Not_found
-      | Kv.Written -> answer Written
+      | Kv.Value v -> Value v
+      | Kv.Not_found -> Not_found
+      | Kv.Written -> Written
       | Kv.Wrong_shard s ->
           t.s_redirects <- t.s_redirects + 1;
-          answer (Failed (Printf.sprintf "wrong shard: owned by shard %d" s))
-      | Kv.Busy why -> Some (item, why))
-    (List.combine items replies)
+          Failed (Printf.sprintf "wrong shard: owned by shard %d" s)
+      | Kv.Busy _ -> assert false (* a job with a refusal is not settled *)
+    in
+    ignore (Ivar.try_fill iv a)
+  in
+  let rec go refused jobs replies =
+    match jobs with
+    | [] -> List.rev refused
+    | job :: jobs -> (
+        let mine, rest = split (List.length (items job)) replies in
+        match
+          List.filter_map (function Kv.Busy why -> Some why | _ -> None) mine
+        with
+        | [] ->
+            List.iter2 answer (items job) mine;
+            go refused jobs rest
+        | why -> go ((job, why) :: refused) jobs rest)
+  in
+  go [] jobs replies
 
-(* One try at the shard's next replica.  Returns the ops still
+(* One try at the shard's next replica.  Returns the jobs still
    unanswered and why. *)
-let attempt_once t client ss frame items =
+let attempt_once t client ss frame jobs =
   match pick ss with
-  | None -> (items, No_endpoint)
+  | None -> (jobs, No_endpoint)
   | Some i -> (
       (* Snapshot the arrays [i] indexes before the blocking call: a
          power-cycle recovery may run [update_endpoints] while the RPC is
@@ -204,64 +236,102 @@ let attempt_once t client ss frame items =
          post-call verdict must land on the endpoint actually tried — not
          index out of bounds in the fresh state. *)
       let eps = ss.eps and suspect = ss.suspect in
-      let ep = eps.(i) in
+      let ep = eps.(i) and sent = List.concat_map items jobs in
       match
         Rpc.call client ~dst:ep.Service.ep_addr ~timeout:t.timeout ~retries:1
-          (encode frame items)
+          (encode frame sent)
       with
       | Ok bytes -> (
           suspect.(i) <- false;
           match decode frame bytes with
-          | Some replies when List.length replies = List.length items ->
-              let refused = settle t items replies in
-              (List.map fst refused, Refused (ep, List.map snd refused))
-          | Some _ | None -> (items, Garbled))
-      | Error `No_route -> (items, No_route ep)
-      | Error `Timeout -> (items, Timed_out ep))
+          | Some replies when List.length replies = List.length sent ->
+              let refused = settle t jobs replies in
+              (List.map fst refused, Refused (ep, List.concat_map snd refused))
+          | Some _ | None -> (jobs, Garbled))
+      | Error `No_route -> (jobs, No_route ep)
+      | Error `Timeout -> (jobs, Timed_out ep))
 
-(* Performs one shipment: a lone op, a gathered batch or a transaction,
-   as (request, waiter) items.  Ops refused or lost are retried, in the
-   shipment's frame, until each has a definitive reply or [attempts]
-   ran out.  A replayed write is safe: every write carries a fresh
-   service-wide uid, so a replay is a distinct stream body and the
-   no-duplicates invariant is untouched. *)
-let rec ship t client ss frame items attempt =
+(* Performs one shipment: a lone op, a gathered batch or a transaction.
+   Jobs refused or lost are retried, in the shipment's frame, until each
+   has a definitive reply or [attempts] ran out.  A replayed write is
+   safe: every write carries a fresh service-wide uid, so a replay is a
+   distinct stream body and the no-duplicates invariant is untouched. *)
+let rec ship t client ss frame jobs attempt =
   if attempt > t.attempts then
     List.iter
       (fun (_, iv) -> ignore (Ivar.try_fill iv (Failed "attempts exhausted")))
-      items
+      (List.concat_map items jobs)
   else begin
     if attempt > 1 then begin
       t.s_retries <- t.s_retries + 1;
       if frame = Batch then t.s_batch_retries <- t.s_batch_retries + 1
     end;
-    match attempt_once t client ss frame items with
+    match attempt_once t client ss frame jobs with
     | [], _ -> ()
     | left, outcome ->
         react t ss attempt outcome;
         ship t client ss frame left (attempt + 1)
   end
 
-(* Nagle-style accumulation: having taken one op, keep the pipeline
-   open until the batch fills or [batch_delay] expires — whichever
-   fires first.  Returns the batch (submission order) and whether the
-   flush was forced by the timer rather than by size. *)
+(* A lone op keeps the single-op frame; anything else, a transaction
+   alone included, ships in the batch frame. *)
+let dispatch t client ss = function
+  | [ Op _ ] as jobs -> ship t client ss Single jobs 1
+  | jobs ->
+      t.s_batches_sent <- t.s_batches_sent + 1;
+      t.s_ops_batched <-
+        t.s_ops_batched + List.length (List.concat_map items jobs);
+      ship t client ss Batch jobs 1
+
+(* Nagle-style accumulation: starting from the transactions the last
+   batch deferred, or else from one job taken off the queue, keep the
+   pipeline open until the batch holds [max_batch] jobs or [batch_delay]
+   expires — whichever fires first.  A job is a lone op or a whole
+   transaction: counting a transaction's ops instead would cap a batch
+   at a handful of transactions, and a loaded shard's backlog would take
+   more round trips to drain.  Returns the jobs (submission order) and
+   whether the flush was forced by the timer rather than by size. *)
 let gather t ss first =
   let deadline = Engine.now t.engine + t.batch_delay in
   let rec go acc n =
     if n >= t.max_batch then (List.rev acc, false)
     else
       match Channel.try_recv ss.queue with
-      | Some item -> go (item :: acc) (n + 1)
+      | Some job -> go (job :: acc) (n + 1)
       | None ->
           let remaining = deadline - Engine.now t.engine in
           if remaining <= 0 then (List.rev acc, true)
           else (
             match Channel.recv_timeout t.engine ss.queue ~timeout:remaining with
-            | Some item -> go (item :: acc) (n + 1)
+            | Some job -> go (job :: acc) (n + 1)
             | None -> (List.rev acc, true))
   in
-  go [ first ] 1
+  go (List.rev first) (List.length first)
+
+(* Lays a gathered batch out as its single ops followed by its
+   transactions, each kept whole, and returns it with the transactions
+   held back for the next batch.  The replica answers every read of a
+   batch from the state after its one round.  Single ops come first in
+   that round, so a single on a transaction's key is ordered before the
+   transaction and leaves its post-image alone; a later transaction in
+   the same round would not.  So a transaction that shares a key with
+   a transaction already in the batch is held back, and goes first in
+   the next. *)
+let compose jobs =
+  let singles, txns =
+    List.partition (function Op _ -> true | Txn _ -> false) jobs
+  in
+  let keys job = List.map (fun (req, _) -> Kv.request_key req) (items job) in
+  let _, placed, held =
+    List.fold_left
+      (fun (taken, placed, held) txn ->
+        let ks = keys txn in
+        if List.exists (fun k -> List.mem k taken) ks then
+          (taken, placed, txn :: held)
+        else (ks @ taken, txn :: placed, held))
+      ([], [], []) txns
+  in
+  (singles @ List.rev placed, List.rev held)
 
 (* Leader/follower batching: the shard's single [turn] token is the
    right to gather the next batch, and only an {e idle} worker holds
@@ -275,24 +345,23 @@ let worker t flip ss () =
   let client = Rpc.client flip in
   let rec loop () =
     (if t.max_batch <= 1 then
-       (* the exact pre-batching path: no timer, no batch framing *)
-       ship t client ss Single [ Channel.recv t.engine ss.queue ] 1
+       (* the pre-batching path: no timer, each job ships alone *)
+       dispatch t client ss [ Channel.recv t.engine ss.queue ]
      else begin
        Channel.recv t.engine ss.turn;
-       let first = Channel.recv t.engine ss.queue in
-       let items, timed_out = gather t ss first in
+       let first =
+         match ss.deferred with
+         | [] -> [ Channel.recv t.engine ss.queue ]
+         | deferred -> deferred
+       in
+       let jobs, timed_out = gather t ss first in
+       let batch, held = compose jobs in
+       ss.deferred <- held;
        (* hand the gathering right to the next idle worker before the
           (long) RPC, so accumulation never stops *)
        Channel.send ss.turn ();
        if timed_out then t.s_partial_flushes <- t.s_partial_flushes + 1;
-       match items with
-       | [ _ ] ->
-           (* a lone op keeps the single-op wire frame *)
-           ship t client ss Single items 1
-       | items ->
-           t.s_batches_sent <- t.s_batches_sent + 1;
-           t.s_ops_batched <- t.s_ops_batched + List.length items;
-           ship t client ss Batch items 1
+       dispatch t client ss batch
      end);
     loop ()
   in
@@ -334,6 +403,7 @@ let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
             {
               queue = Channel.create ();
               turn = Channel.create ();
+              deferred = [];
               eps;
               suspect = Array.make (Array.length eps) false;
               reserve =
@@ -349,7 +419,6 @@ let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
       max_batch = max 1 max_batch;
       batch_delay;
       stale_reads;
-      txn_client = None;
       jseed = 0x2545F491;
       s_stale_gets = 0;
       s_ops = 0;
@@ -377,7 +446,7 @@ let request t req =
   t.s_ops <- t.s_ops + 1;
   let s = Shard_map.shard_of_key t.map (Kv.request_key req) in
   let iv = Ivar.create () in
-  Channel.send t.shards.(s).queue (req, iv);
+  Channel.send t.shards.(s).queue (Op (req, iv));
   Ivar.read t.engine iv
 
 let get t k =
@@ -390,15 +459,13 @@ let get t k =
 let put t k v = request t (Kv.Put (k, v))
 let del t k = request t (Kv.Del k)
 
-(* A multi-key single-shard transaction: the whole op list ships as
-   ONE batch RPC, whose writes the replica submits as ONE sequencer
-   round ([Rsm.submit_batch]) — so the writes land contiguously on the
+(* A multi-key single-shard transaction: the whole op list goes on its
+   shard's pipeline as one job, which rides a batch whole, so its writes
+   land in one sequencer round ([Rsm.submit_batch]), contiguous on the
    shard's totally-ordered stream (atomic: no other client's update
-   interleaves them) and the reads are answered after they applied
-   (the committed post-image).  Bypasses the Nagle gatherer: a
-   transaction must never be split across sequencer rounds nor merged
-   with a stranger's ops.  It is one shipment in the batch frame, even
-   for a single op, retried like any other with fresh-uid idempotence. *)
+   interleaves them), and its reads are answered after they applied
+   (the committed post-image; [compose] keeps any other transaction on
+   its keys out of that round). *)
 let txn t ops =
   match ops with
   | [] -> Error "empty transaction"
@@ -422,16 +489,8 @@ let txn t ops =
       | None ->
           t.s_ops <- t.s_ops + List.length reqs;
           t.s_txns <- t.s_txns + 1;
-          let client =
-            match t.txn_client with
-            | Some c -> c
-            | None ->
-                let c = Rpc.client t.flip in
-                t.txn_client <- Some c;
-                c
-          in
           let items = List.map (fun r -> (r, Ivar.create ())) reqs in
-          ship t client t.shards.(s0) Batch items 1;
+          Channel.send t.shards.(s0).queue (Txn items);
           Ok (List.map (fun (_, iv) -> Ivar.read t.engine iv) items))
 
 (* Swap in a fresh endpoint map — the recovery or migration handoff.

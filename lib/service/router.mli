@@ -9,11 +9,11 @@
     Requests spread round-robin over the shard's replicas (any replica
     can serve a read from its local copy or submit a write — the
     group's sequencer orders writes regardless of which member submits
-    them).  A lone op, a gathered batch and a {!txn} take one path: a
-    shipment of ops retried by one policy, in the single-op frame for
-    a lone op and the batch frame otherwise.  Failure handling is
-    at-least-once with idempotent, uid-tagged updates.  What each
-    attempt's outcome makes the router do:
+    them).  Every request, a {!txn} included, goes through its shard's
+    pipeline and takes one path: a shipment retried by one policy, in
+    the single-op frame for a lone op and the batch frame otherwise.
+    Failure handling is at-least-once with idempotent, uid-tagged
+    updates.  What each attempt's outcome makes the router do:
     - no endpoints installed (mid-handoff), or [Busy]: back off
       25 ms × attempt and retry;
     - [Busy] because the replica is no longer a member of its group
@@ -26,7 +26,7 @@
       replica's, and another try would land on the same shard).
 
     Back-offs carry ±25 % deterministic jitter.  Only the refused or
-    lost ops of a batch are retried. *)
+    lost ops of a batch are retried; a transaction is retried whole. *)
 
 open Amoeba_sim
 open Amoeba_flip
@@ -64,14 +64,21 @@ val create :
     crash-proof state.  Writes are unaffected.
 
     [max_batch] (default 1) turns on op batching: a worker that takes
-    an op off its shard's pipeline keeps accumulating until it holds
-    [max_batch] ops or [batch_delay] (default 500 µs, Nagle-style) has
-    passed since the first — whichever fires first — and ships the lot
-    as one RPC, which the replica submits as one sequencer round.  At
-    the default 1 every op ships alone, in the single-op frame.  A
+    a request off its shard's pipeline keeps accumulating until it
+    holds [max_batch] requests — a transaction counts as one — or
+    [batch_delay] (default 500 µs, Nagle-style) has passed since the
+    first — whichever fires first — and ships the lot as one RPC,
+    which the replica submits as one sequencer round.  A batch is laid
+    out as its single ops followed by its transactions, each
+    transaction's ops together; a transaction that shares a key with
+    another transaction already in the batch waits for the next batch
+    and goes first in it.  At the default 1 every request ships alone:
+    a lone op in the single-op frame, a transaction in the batch
+    frame.  A
     timed-out batch is retried whole, a partly refused one only its
-    refused ops; the fresh uid every write carries makes the replay
-    safe (idempotent under the checker's no-duplicates invariant). *)
+    refused single ops and transactions; the fresh uid every write
+    carries makes the replay safe (idempotent under the checker's
+    no-duplicates invariant). *)
 
 type reply =
   | Value of string
@@ -90,15 +97,19 @@ type op = Get of string | Put of string * string | Del of string
 
 val txn : t -> op list -> (reply list, string) result
 (** A multi-key single-shard transaction.  Every key must hash to the
-    same shard ([Error] otherwise, nothing sent).  The whole op list
-    ships as one batch RPC and the replica submits its writes as
-    {e one} sequencer round ({!Amoeba_grouplib.Rsm.submit_batch}), so
-    they occupy contiguous slots of the shard's totally-ordered stream
-    — atomic with respect to every other client.  Reads are answered
-    after the transaction's own writes applied (the committed
-    post-image).  Replies come back positionally, one per op.  Retries
-    replay the remaining transaction whole; the fresh uid each write
-    carries per submission keeps replays idempotent.  Blocking. *)
+    same shard ([Error] otherwise, nothing sent).  The op list goes on
+    its shard's pipeline as one unit and rides a batch whole, so the
+    replica submits its writes in {e one} sequencer round
+    ({!Amoeba_grouplib.Rsm.submit_batch}), contiguous on the shard's
+    totally-ordered stream — atomic with respect to every other
+    client.  Reads are answered after that round applied, and no other
+    transaction in the round touches the transaction's keys, so they
+    see its committed post-image.  Replies come back positionally, one
+    per op, and none before all of them: if any op is refused, the
+    whole transaction is retried, its reads included; the fresh uid
+    each write carries per submission keeps replays idempotent.  With
+    one worker per shard (the batching default) a transaction waits
+    for the shard's in-flight batch, like any op.  Blocking. *)
 
 type stats = {
   ops : int;  (** operations accepted *)
@@ -107,7 +118,9 @@ type stats = {
       (** switched replica after a suspected death or an expulsion *)
   redirects : int;  (** [Wrong_shard] replies, each failing its op *)
   probes_dead : int;  (** failure-detector verdicts of "dead" *)
-  batches_sent : int;  (** multi-op RPCs shipped *)
+  batches_sent : int;
+      (** RPCs shipped in the batch frame: gathered batches, and
+          transactions shipped alone *)
   ops_batched : int;  (** total ops across those batches *)
   partial_flushes : int;
       (** flushes forced by the [batch_delay] timer before the batch

@@ -1,12 +1,14 @@
-(* Tests for the router's retry policy.  A scripted fake replica — an
-   RPC endpoint plus a failure-detector responder on one cluster
-   machine, reached through a hand-built [Service.endpoint] — answers
-   every op with whatever the test says, so each row of the policy
-   table (outcome -> action) is checked on its own, once for a lone op,
-   once for a gathered batch and once for a transaction.  Then the two
-   directed fixes: a [Wrong_shard] reply fails the op instead of
-   wedging the shard's pipeline, and an expelled replica is treated as
-   a dead endpoint. *)
+(* Tests for the router's retry policy and batch composition.  A
+   scripted fake replica — an RPC endpoint plus a failure-detector
+   responder on one cluster machine, reached through a hand-built
+   [Service.endpoint] — records every frame it decodes and answers each
+   op with whatever the test says, so each row of the policy table
+   (outcome -> action) is checked on its own, once for a lone op, once
+   for a gathered batch and once for a transaction.  Then how a batch
+   is laid out around transactions, a transaction retried whole, and
+   the two directed fixes: a [Wrong_shard] reply fails the op instead
+   of wedging the shard's pipeline, and an expelled replica is treated
+   as a dead endpoint. *)
 
 open Amoeba_sim
 open Amoeba_net
@@ -20,12 +22,19 @@ module T = Types
 
 (* ---------- the scripted fake replica ---------- *)
 
+type frame = { batched : bool; reqs : Kv.request list }
+
 type fake = {
   ep : Service.endpoint;
-  mutable answer : Kv.reply option;  (* every op gets it; [None]: silence *)
-  mutable singles : int;  (* single-op frames served *)
-  mutable batches : int;  (* batch frames served *)
+  mutable answer : (Kv.request -> Kv.reply) option;
+      (* each op's reply, op by op; [None]: silence *)
+  mutable frames : frame list;  (* every frame decoded, newest first *)
 }
+
+(* Every op gets [rep]; [None]: silence. *)
+let uniform rep = Option.map (fun rep _ -> rep) rep
+
+let count f p = List.length (List.filter p f.frames)
 
 let fake_replica cl host =
   let eng = cl.Cluster.engine in
@@ -43,25 +52,30 @@ let fake_replica cl host =
               ep_addr = addr;
               ep_probe = Failure_detector.address det;
             };
-          answer = Some Kv.Written;
-          singles = 0;
-          batches = 0;
+          answer = Some (fun _ -> Kv.Written);
+          frames = [];
         }
       in
       let serve payload =
-        let batch = Kv.decode_batch_request payload in
-        if batch = None then f.singles <- f.singles + 1
-        else f.batches <- f.batches + 1;
+        let frame =
+          match Kv.decode_batch_request payload with
+          | Some reqs -> { batched = true; reqs }
+          | None ->
+              {
+                batched = false;
+                reqs = Option.to_list (Kv.decode_request payload);
+              }
+        in
+        f.frames <- frame :: f.frames;
         match f.answer with
         | None ->
             Engine.sleep eng (Time.sec 60);
             Types_rpc.Reply Bytes.empty
-        | Some rep ->
+        | Some answer ->
+            let replies = List.map answer frame.reqs in
             Types_rpc.Reply
-              (match batch with
-              | Some reqs ->
-                  Kv.encode_batch_reply (List.map (fun _ -> rep) reqs)
-              | None -> Kv.encode_reply rep)
+              (if frame.batched then Kv.encode_batch_reply replies
+               else Kv.encode_reply (List.hd replies))
       in
       let (_ : Rpc.server) = Rpc.serve flip ~addr serve in
       Ivar.fill iv f);
@@ -93,6 +107,12 @@ type row = {
 }
 
 let written = function Router.Written -> true | _ -> false
+
+let show = function
+  | Router.Failed m -> "Failed " ^ m
+  | Router.Written -> "Written"
+  | Router.Value v -> "Value " ^ v
+  | Router.Not_found -> "Not_found"
 
 let attempts = 3
 let timeout = Time.ms 50
@@ -208,11 +228,14 @@ let run_row mode row () =
           if not (written (Router.put router k "v")) then
             Alcotest.fail "warm-up put failed")
         [ "w0"; "w1" ];
-      a.answer <- row.a;
-      b.answer <- row.b;
+      a.answer <- uniform row.a;
+      b.answer <- uniform row.b;
       if row.crash_a then Machine.crash (Cluster.machine cl 0);
       let s0 = Router.stats router and t0 = Engine.now eng in
-      let frames () = (a.singles + b.singles, a.batches + b.batches) in
+      let frames () =
+        let n p = count a p + count b p in
+        (n (fun f -> not f.batched), n (fun f -> f.batched))
+      in
       let singles0, batches0 = frames () in
       let replies = send_ops cl router mode in
       let s1 = Router.stats router in
@@ -234,12 +257,7 @@ let run_row mode row () =
       List.iter
         (fun r ->
           if not (row.ok r) then
-            Alcotest.failf "%s: unexpected reply %s" (mode_name mode)
-              (match r with
-              | Router.Failed m -> "Failed " ^ m
-              | Router.Written -> "Written"
-              | Router.Value _ -> "Value"
-              | Router.Not_found -> "Not_found"))
+            Alcotest.failf "%s: unexpected reply %s" (mode_name mode) (show r))
         replies;
       chk "retries" row.retries (s1.Router.retries - s0.Router.retries);
       chk "failovers" row.failovers (s1.Router.failovers - s0.Router.failovers);
@@ -267,6 +285,178 @@ let run_row mode row () =
         (mode_name mode ^ ": suspected")
         (if row.suspects_a then [ 0 ] else [])
         suspected
+
+(* ---------- how transactions ride a shard's batches ---------- *)
+
+(* One or two shards, both served by a single fake replica on machine
+   0, and a router on machine 2.  The fake answers a get with
+   [Value "v"] and a write with [Written] unless the test scripts
+   otherwise.  [body] runs as a cluster process and must return. *)
+let with_fake_shard ?(shards = 1) ~max_batch body =
+  let cl = Cluster.create ~n:3 ~seed:5 () in
+  let finished = ref false in
+  Cluster.spawn cl (fun () ->
+      let f = fake_replica cl 0 in
+      f.answer <-
+        Some (function Kv.Get _ -> Kv.Value "v" | _ -> Kv.Written);
+      let map = Shard_map.create ~shards ~replication:1 ~hosts:[ 2 ] () in
+      let router =
+        Router.create (Cluster.flip cl 2) ~max_batch ~timeout ~attempts ~map
+          ~endpoints:(Array.make shards [| f.ep |])
+          ()
+      in
+      body cl map router f;
+      finished := true);
+  Cluster.run ~until:(Time.sec 30) cl;
+  Alcotest.(check bool) "scenario finished" true !finished
+
+(* Runs [calls] as concurrent processes, started in list order, and
+   returns their results in that order once all have returned. *)
+let concurrently cl calls =
+  let ivs =
+    List.map
+      (fun call ->
+        let iv = Ivar.create () in
+        Cluster.spawn cl (fun () -> Ivar.fill iv (call ()));
+        iv)
+      calls
+  in
+  List.map (Ivar.read cl.Cluster.engine) ivs
+
+let txn router ops =
+  match Router.txn router ops with
+  | Ok replies -> replies
+  | Error e -> Alcotest.failf "txn refused: %s" e
+
+let put k v = Router.Put (k, v)
+
+let req_of = function
+  | Router.Get k -> Kv.Get k
+  | Router.Put (k, v) -> Kv.Put (k, v)
+  | Router.Del k -> Kv.Del k
+
+let pp_frame f =
+  Printf.sprintf "%s[%s]"
+    (if f.batched then "batch" else "single")
+    (String.concat "; "
+       (List.map
+          (function
+            | Kv.Get k | Kv.Stale_get k -> "get " ^ k
+            | Kv.Put (k, _) -> "put " ^ k
+            | Kv.Del k -> "del " ^ k)
+          f.reqs))
+
+let check_frames what want f =
+  Alcotest.(check (list string))
+    what (List.map pp_frame want)
+    (List.map pp_frame (List.rev f.frames))
+
+(* A transaction queued first and two single ops behind it ship as one
+   batch frame: the singles first, then the transaction's ops, together
+   and in its order. *)
+let test_singles_and_txn_share_a_batch () =
+  with_fake_shard ~max_batch:32 (fun cl _ router f ->
+      let t = [ Router.Get "t0"; put "t0" "x"; put "t1" "y" ] in
+      let replies =
+        concurrently cl
+          [
+            (fun () -> txn router t);
+            (fun () -> [ Router.put router "s0" "v" ]);
+            (fun () -> [ Router.get router "s1" ]);
+          ]
+      in
+      check_frames "one batch frame, singles first"
+        [
+          {
+            batched = true;
+            reqs = [ Kv.Put ("s0", "v"); Kv.Get "s1" ] @ List.map req_of t;
+          };
+        ]
+        f;
+      Alcotest.(check (list (list string)))
+        "every op answered"
+        [ [ "Value v"; "Written"; "Written" ]; [ "Written" ]; [ "Value v" ] ]
+        (List.map (List.map show) replies))
+
+(* Two transactions on a common key never share a frame: the second
+   waits for the next batch and goes first in it, with no further op
+   arriving on the shard to start that batch.  A third, disjoint from
+   the first, rides the first batch. *)
+let test_txns_on_a_key_never_share_a_frame () =
+  with_fake_shard ~max_batch:32 (fun cl _ router f ->
+      let t1 = [ put "k" "1"; put "a" "1" ]
+      and t2 = [ put "k" "2"; put "b" "2" ]
+      and t3 = [ put "c" "3"; put "d" "3" ] in
+      let replies =
+        concurrently cl (List.map (fun t () -> txn router t) [ t1; t2; t3 ])
+      in
+      check_frames "the second waits for the next frame"
+        [
+          { batched = true; reqs = List.map req_of (t1 @ t3) };
+          { batched = true; reqs = List.map req_of t2 };
+        ]
+        f;
+      List.iter
+        (fun rs ->
+          Alcotest.(check bool) "all written" true (List.for_all written rs))
+        replies)
+
+(* Unbatched, a lone op keeps the single-op frame and a transaction
+   ships alone in the batch frame. *)
+let test_unbatched_txn_ships_alone () =
+  with_fake_shard ~max_batch:1 (fun cl _ router f ->
+      ignore
+        (concurrently cl
+           [
+             (fun () -> [ Router.put router "s0" "v" ]);
+             (fun () -> txn router [ put "t0" "x"; put "t1" "y" ]);
+           ]);
+      Alcotest.(check (list string))
+        "one frame each"
+        [ "batch[put t0; put t1]"; "single[put s0]" ]
+        (List.sort compare (List.map pp_frame f.frames)))
+
+(* A transaction whose keys hash to two shards is refused before
+   anything is sent. *)
+let test_cross_shard_txn_refused () =
+  with_fake_shard ~shards:2 ~max_batch:32 (fun _ map router f ->
+      let on s =
+        List.find
+          (fun k -> Shard_map.shard_of_key map k = s)
+          (List.init 100 (fun i -> "k" ^ string_of_int i))
+      in
+      (match Router.txn router [ put (on 0) "v"; put (on 1) "v" ] with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a cross-shard txn was accepted");
+      Alcotest.(check int) "nothing sent" 0 (List.length f.frames))
+
+(* The first attempt of [get k; put k "new"] reads the pre-image and has
+   its write refused; the second commits.  The transaction's reads must
+   come from the round that applied its writes, so it is retried whole
+   and answers only once every op is. *)
+let test_txn_retried_whole () =
+  List.iter
+    (fun max_batch ->
+      with_fake_shard ~max_batch (fun _ _ router f ->
+          f.answer <-
+            Some
+              (fun req ->
+                let first = List.length f.frames = 1 in
+                match req with
+                | Kv.Get _ -> Kv.Value (if first then "old" else "new")
+                | _ ->
+                    if first then
+                      Kv.Busy (Kv.Submit_failed T.Sequencer_unreachable)
+                    else Kv.Written);
+          let what = Printf.sprintf "max_batch %d" max_batch in
+          Alcotest.(check (list string))
+            (what ^ ": the post-image") [ "Value new"; "Written" ]
+            (List.map show (txn router [ Router.Get "k"; put "k" "new" ]));
+          let whole =
+            { batched = true; reqs = [ Kv.Get "k"; Kv.Put ("k", "new") ] }
+          in
+          check_frames (what ^ ": replayed whole") [ whole; whole ] f))
+    [ 1; 32 ]
 
 (* ---------- Wrong_shard cannot wedge a shard's pipeline ---------- *)
 
@@ -446,6 +636,15 @@ let suite =
           [ Lone; Gathered; Txn ])
       rows
     @ [
+        tc "singles and a txn share a batch, singles first"
+          test_singles_and_txn_share_a_batch;
+        tc "txns on a common key never share a frame"
+          test_txns_on_a_key_never_share_a_frame;
+        tc "unbatched, a txn ships alone in the batch frame"
+          test_unbatched_txn_ships_alone;
+        tc "a cross-shard txn is refused, nothing sent"
+          test_cross_shard_txn_refused;
+        tc "a txn is retried whole" test_txn_retried_whole;
         tc "wrong shard fails fast" test_wrong_shard_fails_fast;
         tc "an expelled replica is a dead endpoint"
           test_expelled_replica_is_dead;

@@ -668,6 +668,132 @@ let test_batch_spans_sequencer_crash () =
         vs
   | _ -> Alcotest.fail "expected verdicts for exactly one shard"
 
+(* Read-modify-write transactions over four counter keys, with single
+   puts to the same keys mixed in, through a batching router while the
+   shard's sequencer crashes.  Every transaction must read back exactly
+   what it wrote: its reads come from the round that applied its
+   writes, even when a refusal or a lost reply made the router replay
+   it.  Its writes must sit together, contiguous in one round, in every
+   live replica's delivery stream, and the chaos invariants must hold.
+   Every written value is a tag in angle brackets, which the textual
+   update encoding never otherwise contains, so the test finds the
+   writes in the delivered bodies by scanning for the tags. *)
+let test_txns_span_sequencer_crash () =
+  let cl = Cluster.create ~n:5 ~seed:31 () in
+  let eng = cl.Cluster.engine in
+  let bad = ref [] and streams = ref [] and verdicts = ref [] in
+  let stats = ref None in
+  Cluster.spawn cl (fun () ->
+      let map =
+        Shard_map.create ~shards:1 ~replication:3 ~hosts:[ 0; 1; 2 ] ()
+      in
+      let svc = Service.deploy cl ~map ~resilience:1 ~record:true () in
+      let router =
+        Router.create (Cluster.flip cl 4) ~max_batch:32 ~attempts:30 ~map
+          ~endpoints:(Service.endpoints svc) ()
+      in
+      let seq_host = Shard_map.sequencer_host map 0 in
+      Cluster.spawn cl (fun () ->
+          Engine.sleep eng (Time.ms 40);
+          Machine.crash (Cluster.machine cl seq_host));
+      let counter i = "c" ^ string_of_int (i mod 4) in
+      let txn w i =
+        let a = counter (w + i) and b = counter (w + i + 1) in
+        let va = Printf.sprintf "<t%d.%d/a>" w i
+        and vb = Printf.sprintf "<t%d.%d/b>" w i in
+        let ops = Router.[ Get a; Get b; Put (a, va); Put (b, vb) ] in
+        match Router.txn router ops with
+        | Ok Router.[ Value ra; Value rb; Written; Written ]
+          when ra = va && rb = vb ->
+            ()
+        | _ -> bad := Printf.sprintf "t%d.%d" w i :: !bad
+      in
+      let single w i =
+        match Router.put router (counter i) (Printf.sprintf "<s%d.%d>" w i) with
+        | Router.Written -> ()
+        | _ -> bad := Printf.sprintf "s%d.%d" w i :: !bad
+      in
+      let finished = Channel.create () in
+      List.iter
+        (fun (w, op) ->
+          Cluster.spawn cl (fun () ->
+              for i = 1 to 12 do
+                op w i
+              done;
+              Channel.send finished ()))
+        [ (1, txn); (2, txn); (3, txn); (4, txn); (5, single); (6, single) ];
+      for _ = 1 to 6 do
+        Channel.recv eng finished
+      done;
+      Engine.sleep eng (Time.sec 1);
+      stats := Some (Router.stats router);
+      let crashed h = h = seq_host in
+      streams :=
+        List.filter
+          (fun st -> st.Checker.full)
+          (Service.checker_streams svc ~shard:0 ~crashed);
+      verdicts := Service.check svc ~crashed:[ seq_host ]);
+  Cluster.run ~until:(Time.sec 120) cl;
+  (match !stats with
+  | None -> Alcotest.fail "scenario did not finish"
+  | Some st ->
+      Alcotest.(check bool) "the crash forced retries" true
+        (st.Router.retries >= 1));
+  Alcotest.(check (list string)) "every op read its own writes" [] !bad;
+  (* The tags in a delivered body, in stream order. *)
+  let tags body =
+    let s = Bytes.to_string body in
+    let rec go i acc =
+      match String.index_from_opt s i '<' with
+      | None -> List.rev acc
+      | Some j ->
+          let e = String.index_from s j '>' in
+          go (e + 1) (String.sub s (j + 1) (e - j - 1) :: acc)
+    in
+    go 0 []
+  in
+  let txn_of tag =
+    match String.index_opt tag '/' with
+    | Some i -> Some (String.sub tag 0 i)
+    | None -> None
+  in
+  Alcotest.(check int) "two live replicas" 2 (List.length !streams);
+  List.iter
+    (fun st ->
+      List.iter
+        (function
+          | T.Message { seq; body; _ } ->
+              let rec runs = function
+                | [] -> []
+                | tag :: rest -> (
+                    match txn_of tag with
+                    | None -> runs rest
+                    | Some t -> (
+                        match rest with
+                        | tag' :: rest' when txn_of tag' = Some t ->
+                            t :: runs rest'
+                        | _ ->
+                            Alcotest.failf "%s seq %d: %s's writes split"
+                              st.Checker.label seq t))
+              in
+              let ts = runs (tags body) in
+              Alcotest.(check int)
+                (Printf.sprintf "%s seq %d: each txn once" st.Checker.label seq)
+                (List.length (List.sort_uniq compare ts))
+                (List.length ts)
+          | _ -> ())
+        st.Checker.events)
+    !streams;
+  match !verdicts with
+  | [ (0, vs) ] ->
+      List.iter
+        (fun v ->
+          if not v.Checker.ok then
+            Alcotest.failf "invariant %s violated: %s" v.Checker.invariant
+              v.Checker.detail)
+        vs
+  | _ -> Alcotest.fail "expected verdicts for exactly one shard"
+
 (* ---------- the load driver against the service ---------- *)
 
 (* 2 shards x 2 replicas over 4 hosts on the paper's 10 Mbit wire,
@@ -765,6 +891,8 @@ let suite =
       tc "batches flush on the Nagle timer" test_batch_flush_on_timeout;
       tc "batch stream spans a sequencer crash"
         test_batch_spans_sequencer_crash;
+      tc "txns read their own writes across a sequencer crash"
+        test_txns_span_sequencer_crash;
       tc "workload smoke" test_workload_smoke;
       tc "workload deterministic" test_workload_deterministic;
       tc "workload open loop" test_workload_open_loop;
