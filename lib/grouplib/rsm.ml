@@ -57,6 +57,13 @@ module Make (App : APP) = struct
         mutable query_seq : T.seqno option;
       }
 
+  (* What the applier and the submitter of one of this replica's own
+     rounds know of it, whichever of the two gets there first. *)
+  type slot =
+    | Pre of App.state  (** captured; the submitter has not asked yet *)
+    | Wanted of App.state option Ivar.t  (** the submitter waits for it *)
+    | Declined  (** the submitter needs nothing: keep nothing *)
+
   type t = {
     flip : Flip.t;
     g : Api.group;
@@ -76,6 +83,12 @@ module Make (App : APP) = struct
     snap_addr : Addr.t;
     tap : (T.event -> unit) option;
         (** observer of the raw delivery stream (chaos checkers) *)
+    own : (T.seqno, slot) Hashtbl.t;
+        (** this replica's rounds one side has reached and the other
+            not yet *)
+    mutable reached : T.seqno;
+        (** the last message the applier handled; [max_int] once it
+            stopped, this replica being expelled *)
   }
 
   let ckpt_key g = Printf.sprintf "rsm:%d" (Addr.to_int (Api.group_address g))
@@ -250,14 +263,51 @@ module Make (App : APP) = struct
       | _ -> ()
     end
 
+  (* The applier reached one of this replica's own rounds: the state it
+     holds now is the state just before that round.  Hand it to the
+     round's submitter, or keep it until the submitter asks, unless the
+     submitter already declined it. *)
+  let capture t seq =
+    match Hashtbl.find_opt t.own seq with
+    | Some (Wanted iv) ->
+        Hashtbl.remove t.own seq;
+        Ivar.fill iv (Some t.st)
+    | Some Declined -> Hashtbl.remove t.own seq
+    | Some (Pre _) | None -> Hashtbl.replace t.own seq (Pre t.st)
+
+  (* A submitter waiting for a round the applier has passed, or will
+     never reach, gets [None] rather than waiting forever. *)
+  let release_passed t =
+    Hashtbl.filter_map_inplace
+      (fun seq slot ->
+        match slot with
+        | Wanted iv when seq <= t.reached ->
+            Ivar.fill iv None;
+            None
+        | Declined when seq <= t.reached -> None
+        | Pre _ | Wanted _ | Declined -> Some slot)
+      t.own
+
+  let own_round t ~sender body =
+    t.mode = Normal
+    && sender = Kernel.my_mid (Api.kernel t.g)
+    && Bytes.length body > 0
+    && (Bytes.get body 0 = tag_update || Bytes.get body 0 = tag_batch)
+
   let applier t () =
     let rec loop () =
       let ev = Api.receive_from_group t.g in
       (match t.tap with Some f -> f ev | None -> ());
       (match ev with
-      | T.Message { seq; sender; body } -> handle_message t ~seq ~sender body
+      | T.Message { seq; sender; body } ->
+          if own_round t ~sender body then capture t seq;
+          handle_message t ~seq ~sender body;
+          t.reached <- seq;
+          if Hashtbl.length t.own > 0 then release_passed t
       | T.Member_joined _ | T.Member_left _ | T.Group_reset _ -> ()
-      | T.Expelled -> ());
+      | T.Expelled ->
+          t.reached <- max_int;
+          release_passed t);
       match ev with T.Expelled -> () | _ -> loop ()
     in
     loop ()
@@ -286,6 +336,8 @@ module Make (App : APP) = struct
         snapshots = Channel.create ();
         snap_addr = Flip.fresh_addr flip;
         tap;
+        own = Hashtbl.create 8;
+        reached = -1;
       }
     in
     (* Snapshots for state transfer arrive over RPC. *)
@@ -330,11 +382,6 @@ module Make (App : APP) = struct
     Bytes.blit enc 0 framed 1 n;
     framed
 
-  let submit t u =
-    (* The framed buffer is fresh and never reused: hand it to the
-       kernel without the user→kernel defensive copy. *)
-    Api.send_to_group ~copy:false t.g (wire_of_update u)
-
   (* The exact on-stream bytes of a batch: one 'B' frame carrying every
      update length-prefixed, in order. *)
   let wire_of_batch us =
@@ -351,16 +398,46 @@ module Make (App : APP) = struct
       us;
     Buffer.to_bytes buf
 
-  let submit_batch t us =
+  (* One round: a lone update in the plain 'U' frame, several in one
+     'B' frame.  The framed buffer is fresh and never reused: hand it to
+     the kernel without the user→kernel defensive copy. *)
+  let send_round t us =
     match us with
     | [] -> invalid_arg "Rsm.submit_batch: empty batch"
-    | [ u ] -> submit t u
+    | [ u ] -> Api.send_to_group ~copy:false t.g (wire_of_update u)
     | _ ->
         (* One sequencer round carries the whole vector; the kernel is
            told the op count so the simulation charges the message its
            real marginal per-op wire bytes and CPU. *)
         Api.send_to_group ~copy:false ~ops:(List.length us) t.g
           (wire_of_batch us)
+
+  (* The submitter of a round that reads nothing: whatever the applier
+     captured for it, or will, is dropped. *)
+  let decline t seq =
+    if Hashtbl.mem t.own seq then Hashtbl.remove t.own seq
+    else if seq > t.reached then Hashtbl.replace t.own seq Declined
+
+  (* The state just before round [seq], once the applier reached it. *)
+  let pre_state t seq =
+    match Hashtbl.find_opt t.own seq with
+    | Some (Pre st) ->
+        Hashtbl.remove t.own seq;
+        Some st
+    | Some (Wanted _ | Declined) -> None
+    | None when seq <= t.reached -> None
+    | None ->
+        let iv = Ivar.create () in
+        Hashtbl.replace t.own seq (Wanted iv);
+        Ivar.read t.engine iv
+
+  let submit_batch t us =
+    let r = send_round t us in
+    Result.iter (decline t) r;
+    r
+
+  let submit t u = submit_batch t [ u ]
+  let submit_batch_pinned t us = Result.map (pre_state t) (send_round t us)
 
   let state t = t.st
   let applied t = t.n_applied

@@ -150,6 +150,20 @@ module Make (App : APP) : sig
       per-message CPU cost across the ops, the point of the exercise —
       Ring-Paxos-style batching on the paper's protocol. *)
 
+  val submit_batch_pinned :
+    t -> App.update list -> (App.state option, Types.error) result
+  (** {!submit_batch}, pinned to its round: once this replica's applier
+      has reached the round, returns the state the replica held just
+      before it, so a caller can answer each read of the batch at its
+      own place in the round — that state plus the round's earlier
+      updates — however far the applier has got since, or however far
+      behind its disk keeps it.  The applier captures that state for
+      every round this replica sends; {!submit} and {!submit_batch}
+      decline it, so nothing is kept for a round that reads nothing.
+      [Ok None]: the round is sequenced but this replica cannot reach
+      it, because its applier stopped (the replica was expelled) or
+      passed the round without capturing it. *)
+
   val wire_of_update : App.update -> bytes
   (** The exact on-stream bytes {!submit} broadcasts for an update —
       what a delivery-stream tap will observe as the message body

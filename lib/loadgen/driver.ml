@@ -186,16 +186,19 @@ let one_op eng cfg ~map ~acc ~kg ~rng ~arrive ~measure_from router =
           colocated_keys map ~keys:cfg.keys ~base ~want:(max 1 cfg.txn_size)
         in
         (* Read-modify-write: read every key, then rewrite every key —
-           one batch RPC, whose writes commit as one sequencer round. *)
-        let gets = List.map (fun ki -> Router.Get (Keygen.key ki)) kis in
-        let puts =
-          List.map
-            (fun ki -> Router.Put (Keygen.key ki, make_value cfg rng ~issued))
-            kis
+           one batch RPC, whose writes commit as one sequencer round.
+           The transaction's reads return its own writes, so one that
+           reads anything else failed, whatever the router said. *)
+        let writes =
+          List.map (fun ki -> (Keygen.key ki, make_value cfg rng ~issued)) kis
         in
-        ( (match Router.txn router (gets @ puts) with
-          | Error _ -> false
-          | Ok replies -> List.for_all succeeded replies),
+        let gets = List.map (fun (k, _) -> Router.Get k) writes in
+        let puts = List.map (fun (k, v) -> Router.Put (k, v)) writes in
+        let expected =
+          List.map (fun (_, v) -> Router.Value v) writes
+          @ List.map (fun _ -> Router.Written) writes
+        in
+        ( Router.txn router (gets @ puts) = Ok expected,
           Keygen.key base )
   in
   (* CO-safe accounting: latency runs from the intended arrival, so

@@ -88,7 +88,9 @@ type trial = {
   offered : float;  (** the open-loop rate (ops/s); 0 in closed loop *)
   attempted : int;  (** ops issued inside the measured window *)
   completed : int;
-  failed : int;  (** explicit failures (attempts exhausted / txn error) *)
+  failed : int;
+      (** explicit failures: attempts exhausted, a refused transaction,
+          or one whose reads did not return its own writes *)
   throughput : float;  (** completed per second of measured window *)
   completion : float;
       (** completed / attempted — open-loop ops still stuck when the

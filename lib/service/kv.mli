@@ -49,12 +49,15 @@ type refusal =
   | Submit_failed of Amoeba_core.Types.error
       (** the group refused the write; [Not_a_member] means this
           replica was expelled and will refuse every write from now
-          on *)
+          on, or, on a read, that it cannot reach the round the read
+          sits in *)
 
 type reply =
   | Value of string  (** [Get] hit *)
   | Not_found  (** [Get] miss *)
-  | Written  (** write sequenced and applied locally *)
+  | Written
+      (** write sequenced: its round is in the shard's total order,
+          though this replica's applier may not have applied it yet *)
   | Wrong_shard of int  (** contacted replica does not own this key *)
   | Busy of refusal  (** refused; see {!refusal} *)
 

@@ -38,10 +38,6 @@ type shard_state = {
   turn : unit Channel.t;
       (* one token: the right to gather the next batch off the queue
          (batching mode only) *)
-  mutable deferred : job list;
-      (* transactions that shared a key with another transaction in
-         the last batch; they go first in the next (batching mode
-         only) *)
   mutable eps : Service.endpoint array;
   mutable suspect : bool array;
   mutable reserve : bool array;
@@ -283,11 +279,10 @@ let dispatch t client ss = function
         t.s_ops_batched + List.length (List.concat_map items jobs);
       ship t client ss Batch jobs 1
 
-(* Nagle-style accumulation: starting from the transactions the last
-   batch deferred, or else from one job taken off the queue, keep the
-   pipeline open until the batch holds [max_batch] jobs or [batch_delay]
-   expires — whichever fires first.  A job is a lone op or a whole
-   transaction: counting a transaction's ops instead would cap a batch
+(* Nagle-style accumulation: starting from one job taken off the queue,
+   keep the pipeline open until the batch holds [max_batch] jobs or
+   [batch_delay] expires — whichever fires first.  A job is a lone op or
+   a whole transaction: counting a transaction's ops instead would cap a batch
    at a handful of transactions, and a loaded shard's backlog would take
    more round trips to drain.  Returns the jobs (submission order) and
    whether the flush was forced by the timer rather than by size. *)
@@ -306,32 +301,18 @@ let gather t ss first =
             | Some job -> go (job :: acc) (n + 1)
             | None -> (List.rev acc, true))
   in
-  go (List.rev first) (List.length first)
+  go [ first ] 1
 
 (* Lays a gathered batch out as its single ops followed by its
-   transactions, each kept whole, and returns it with the transactions
-   held back for the next batch.  The replica answers every read of a
-   batch from the state after its one round.  Single ops come first in
-   that round, so a single on a transaction's key is ordered before the
-   transaction and leaves its post-image alone; a later transaction in
-   the same round would not.  So a transaction that shares a key with
-   a transaction already in the batch is held back, and goes first in
-   the next. *)
+   transactions, each kept whole.  The replica answers each read at its
+   own place in the batch's round, so a transaction reads its own
+   writes wherever it sits, and any number of transactions on one key
+   share a batch. *)
 let compose jobs =
   let singles, txns =
     List.partition (function Op _ -> true | Txn _ -> false) jobs
   in
-  let keys job = List.map (fun (req, _) -> Kv.request_key req) (items job) in
-  let _, placed, held =
-    List.fold_left
-      (fun (taken, placed, held) txn ->
-        let ks = keys txn in
-        if List.exists (fun k -> List.mem k taken) ks then
-          (taken, placed, txn :: held)
-        else (ks @ taken, txn :: placed, held))
-      ([], [], []) txns
-  in
-  (singles @ List.rev placed, List.rev held)
+  singles @ txns
 
 (* Leader/follower batching: the shard's single [turn] token is the
    right to gather the next batch, and only an {e idle} worker holds
@@ -349,19 +330,12 @@ let worker t flip ss () =
        dispatch t client ss [ Channel.recv t.engine ss.queue ]
      else begin
        Channel.recv t.engine ss.turn;
-       let first =
-         match ss.deferred with
-         | [] -> [ Channel.recv t.engine ss.queue ]
-         | deferred -> deferred
-       in
-       let jobs, timed_out = gather t ss first in
-       let batch, held = compose jobs in
-       ss.deferred <- held;
+       let jobs, timed_out = gather t ss (Channel.recv t.engine ss.queue) in
        (* hand the gathering right to the next idle worker before the
           (long) RPC, so accumulation never stops *)
        Channel.send ss.turn ();
        if timed_out then t.s_partial_flushes <- t.s_partial_flushes + 1;
-       dispatch t client ss batch
+       dispatch t client ss (compose jobs)
      end);
     loop ()
   in
@@ -403,7 +377,6 @@ let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
             {
               queue = Channel.create ();
               turn = Channel.create ();
-              deferred = [];
               eps;
               suspect = Array.make (Array.length eps) false;
               reserve =
@@ -461,11 +434,11 @@ let del t k = request t (Kv.Del k)
 
 (* A multi-key single-shard transaction: the whole op list goes on its
    shard's pipeline as one job, which rides a batch whole, so its writes
-   land in one sequencer round ([Rsm.submit_batch]), contiguous on the
-   shard's totally-ordered stream (atomic: no other client's update
-   interleaves them), and its reads are answered after they applied
-   (the committed post-image; [compose] keeps any other transaction on
-   its keys out of that round). *)
+   land in one sequencer round ([Rsm.submit_batch_pinned]), contiguous
+   on the shard's totally-ordered stream (atomic: no other client's
+   update interleaves them).  Its writes are laid out before its reads,
+   and the replica answers each read at its own place in the round, so
+   the reads return the transaction's own writes. *)
 let txn t ops =
   match ops with
   | [] -> Error "empty transaction"
@@ -490,7 +463,12 @@ let txn t ops =
           t.s_ops <- t.s_ops + List.length reqs;
           t.s_txns <- t.s_txns + 1;
           let items = List.map (fun r -> (r, Ivar.create ())) reqs in
-          Channel.send t.shards.(s0).queue (Txn items);
+          let reads, writes =
+            List.partition
+              (function Kv.Get _, _ -> true | _ -> false)
+              items
+          in
+          Channel.send t.shards.(s0).queue (Txn (writes @ reads));
           Ok (List.map (fun (_, iv) -> Ivar.read t.engine iv) items))
 
 (* Swap in a fresh endpoint map — the recovery or migration handoff.

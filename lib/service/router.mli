@@ -70,11 +70,10 @@ val create :
     first — whichever fires first — and ships the lot as one RPC,
     which the replica submits as one sequencer round.  A batch is laid
     out as its single ops followed by its transactions, each
-    transaction's ops together; a transaction that shares a key with
-    another transaction already in the batch waits for the next batch
-    and goes first in it.  At the default 1 every request ships alone:
-    a lone op in the single-op frame, a transaction in the batch
-    frame.  A
+    transaction's ops together; the replica answers each read at its
+    own place in the round, so transactions on a common key share a
+    batch.  At the default 1 every request ships alone: a lone op in
+    the single-op frame, a transaction in the batch frame.  A
     timed-out batch is retried whole, a partly refused one only its
     refused single ops and transactions; the fresh uid every write
     carries makes the replay safe (idempotent under the checker's
@@ -100,12 +99,15 @@ val txn : t -> op list -> (reply list, string) result
     same shard ([Error] otherwise, nothing sent).  The op list goes on
     its shard's pipeline as one unit and rides a batch whole, so the
     replica submits its writes in {e one} sequencer round
-    ({!Amoeba_grouplib.Rsm.submit_batch}), contiguous on the shard's
-    totally-ordered stream — atomic with respect to every other
-    client.  Reads are answered after that round applied, and no other
-    transaction in the round touches the transaction's keys, so they
-    see its committed post-image.  Replies come back positionally, one
-    per op, and none before all of them: if any op is refused, the
+    ({!Amoeba_grouplib.Rsm.submit_batch_pinned}), contiguous on the
+    shard's totally-ordered stream — atomic with respect to every other
+    client.  The frame lays the transaction's writes before its reads
+    (each group in the order given), and the replica answers each read
+    at its own place in the round — the state before the round plus the
+    round's writes ahead of it — so the reads return the transaction's
+    own writes, and keys it only reads as they stood before its writes.
+    Replies come back positionally, one per op in the order given, and
+    none before all of them: if any op is refused, the
     whole transaction is retried, its reads included; the fresh uid
     each write carries per submission keeps replays idempotent.  With
     one worker per shard (the batching default) a transaction waits

@@ -114,13 +114,14 @@ let shard_ops t = Array.copy t.shard_ops
 let migrations t = List.rev t.migrations
 
 (* Submits a vector of updates as one sequencer round (one 'B' frame on
-   the group stream; a single update falls back to the plain 'U' path).
-   Returns the per-update reply.  The checker's durability log gets the
-   exact on-stream bytes, which depend on that fallback. *)
-let submit_writes t r us =
+   the group stream; a single update falls back to the plain 'U' path)
+   with [submit], one of the {!Rsm} submit calls.  The checker's
+   durability log gets the exact on-stream bytes, which depend on that
+   fallback. *)
+let submit_writes t r us submit =
   let n = List.length us in
-  match R.submit_batch r.r_rsm us with
-  | Ok _ ->
+  match submit r.r_rsm us with
+  | Ok _ as ok ->
       t.n_writes_ok <- t.n_writes_ok + n;
       if t.params.p_record then begin
         let mid = (Api.get_info_group (R.group r.r_rsm)).Api.my_mid in
@@ -132,10 +133,15 @@ let submit_writes t r us =
         t.completed_w.(r.r_shard) :=
           (mid, Bytes.to_string body) :: !(t.completed_w.(r.r_shard))
       end;
-      Kv.Written
-  | Error e ->
+      ok
+  | Error _ as e ->
       t.n_writes_busy <- t.n_writes_busy + n;
-      Kv.Busy (Kv.Submit_failed e)
+      e
+
+let lookup state k =
+  match Kv.Smap.find_opt k state with
+  | Some v -> Kv.Value v
+  | None -> Kv.Not_found
 
 (* A read of [k] from the local copy.  A bounded-staleness read is
    answered from the last durable checkpoint when there is one — the
@@ -144,49 +150,85 @@ let submit_writes t r us =
    to its live copy. *)
 let read t r ~stale k =
   t.n_reads <- t.n_reads + 1;
-  let state =
-    match R.durable_snapshot r.r_rsm with
-    | Some (st, _) when stale -> st
-    | _ -> R.state r.r_rsm
-  in
-  match Kv.Smap.find_opt k state with
-  | Some v -> Kv.Value v
-  | None -> Kv.Not_found
+  match R.durable_snapshot r.r_rsm with
+  | Some (st, _) when stale -> lookup st k
+  | _ -> lookup (R.state r.r_rsm) k
+
+(* What one request of a batch is to this replica. *)
+type op =
+  | Foreign of int  (* another shard owns its key *)
+  | Read of string
+  | Stale_read of string
+  | Write of Kv.Store.update
 
 (* Every request is served as a batch; a lone op is a batch of one.
-   Each op is shard-checked individually, all the writes ride one
+   Each op is shard-checked individually, and all the writes ride one
    totally-ordered group round (fresh uids keep a retried batch
-   distinct on the stream), and reads are answered from the local copy
-   after the batch's writes applied — so a batch reads its own writes.
-   Replies are fanned back positionally, one per request. *)
+   distinct on the stream).  A batch that writes answers each read at
+   its own place in that round: from the state just before the round
+   plus the round's writes ahead of it, so a batch reads exactly the
+   writes it laid out before the read, whatever the applier has
+   applied since and however far behind its disk keeps it.  A replica
+   that cannot reach its round answers those reads [Busy] as an
+   expelled one would.  A batch that only reads, or whose round
+   failed, reads the live local copy.  Replies are fanned back
+   positionally, one per request. *)
 let handle_batch t r reqs =
-  let owner req = Shard_map.shard_of_key t.map (Kv.request_key req) in
-  let writes =
-    List.filter_map
+  let ops =
+    List.map
       (fun req ->
-        if owner req <> r.r_shard then None
+        let s = Shard_map.shard_of_key t.map (Kv.request_key req) in
+        if s <> r.r_shard then Foreign s
         else
           match req with
-          | Kv.Get _ | Kv.Stale_get _ -> None
+          | Kv.Get k -> Read k
+          | Kv.Stale_get k -> Stale_read k
           | Kv.Put (k, v) ->
               incr t.uid;
-              Some (Kv.Store.Put { uid = !(t.uid); key = k; value = v })
+              Write (Kv.Store.Put { uid = !(t.uid); key = k; value = v })
           | Kv.Del k ->
               incr t.uid;
-              Some (Kv.Store.Del { uid = !(t.uid); key = k }))
+              Write (Kv.Store.Del { uid = !(t.uid); key = k }))
       reqs
   in
-  let verdict = if writes = [] then Kv.Written else submit_writes t r writes in
-  List.map
-    (fun req ->
-      let s = owner req in
-      if s <> r.r_shard then Kv.Wrong_shard s
-      else
-        match req with
-        | Kv.Get k -> read t r ~stale:false k
-        | Kv.Stale_get k -> read t r ~stale:true k
-        | Kv.Put _ | Kv.Del _ -> verdict)
-    reqs
+  let writes = List.filter_map (function Write u -> Some u | _ -> None) ops in
+  let reads = List.exists (function Read _ -> true | _ -> false) ops in
+  let live written = function
+    | Foreign s -> Kv.Wrong_shard s
+    | Read k -> read t r ~stale:false k
+    | Stale_read k -> read t r ~stale:true k
+    | Write _ -> written
+  in
+  let refused e = Kv.Busy (Kv.Submit_failed e) in
+  if writes = [] then List.map (live Kv.Written) ops
+  else if not reads then
+    let verdict =
+      match submit_writes t r writes R.submit_batch with
+      | Ok _ -> Kv.Written
+      | Error e -> refused e
+    in
+    List.map (live verdict) ops
+  else
+    match submit_writes t r writes R.submit_batch_pinned with
+    | Error e -> List.map (live (refused e)) ops
+    | Ok None ->
+        List.map
+          (function
+            | Read _ -> refused T.Not_a_member | op -> live Kv.Written op)
+          ops
+    | Ok (Some pre) ->
+        let _, replies =
+          List.fold_left_map
+            (fun st op ->
+              match op with
+              | Write u -> (Kv.Store.apply st u, Kv.Written)
+              | Read k ->
+                  t.n_reads <- t.n_reads + 1;
+                  (st, lookup st k)
+              | Foreign _ | Stale_read _ -> (st, live Kv.Written op))
+            pre ops
+        in
+        replies
 
 (* A single-op frame is served as a batch of one and answered in the
    single-op frame.  A retired replica (its shard was migrated away)

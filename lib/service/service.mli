@@ -5,7 +5,19 @@
     Each replica exposes an RPC endpoint speaking the {!Kv} request
     protocol; writes are submitted to the shard's totally-ordered
     group (so every replica of a shard applies the same update
-    sequence), reads are answered from the local copy.  Each host also
+    sequence), reads are answered from the local copy.  Every request
+    is served as a batch, a lone op as a batch of one, and its writes
+    ride one sequencer round.  A batch that both reads and writes
+    answers each read at its own place in that round: from the state
+    this replica held just before the round plus the round's writes
+    laid out ahead of the read, however far the replica's applier has
+    got since or however far behind its disk keeps it
+    ({!Amoeba_grouplib.Rsm.submit_batch_pinned}); a replica that
+    cannot reach its round answers those reads
+    [Busy (Submit_failed Not_a_member)].  A batch that only reads, or
+    whose round failed, reads the live copy, and one that only writes
+    does not wait for the applier.  A [Stale_get] reads the durable
+    frontier wherever it sits.  Each host also
     runs a failure-detector responder, which routers probe to tell a
     slow replica from a dead one.  Replica groups are created with
     [auto_heal] on: when a shard's sequencer machine crashes, the

@@ -286,6 +286,34 @@ let test_driver_deterministic () =
   if t1.Driver.completed = 0 then Alcotest.fail "trial completed nothing";
   if t1.Driver.txns = 0 then Alcotest.fail "mix should have produced txns"
 
+(* A transaction whose reads miss its own writes counts as failed, so
+   a load run shows the defect durable replicas had: their appliers lag
+   the stream by a WAL append per update, and a read answered from
+   whatever they had applied missed the round's writes.  Half the ops
+   are read-modify-write transactions over 50 keys; none may fail. *)
+let test_driver_durable_txns () =
+  let cfg =
+    {
+      tiny_config with
+      Driver.replication = 3;
+      mix = Mix.with_txn Mix.ycsb_a ~size_hint:3 0.5;
+      keys = 50;
+    }
+  in
+  let durable =
+    {
+      Amoeba_service.Service.d_store = Amoeba_grouplib.Stable_store.create ();
+      d_sync = Amoeba_grouplib.Rsm.Group_fsync 8;
+      d_checkpoint_every = 64;
+    }
+  in
+  let t =
+    Driver.bring_up ~disk:Amoeba_net.Cost_model.ssd ~durable cfg (fun d ->
+        Driver.drive d (Driver.Open 1_000.0))
+  in
+  Alcotest.(check int) "failed ops" 0 t.Driver.failed;
+  if t.Driver.txns = 0 then Alcotest.fail "mix should have produced txns"
+
 (* A closed-loop trial returns only once every client's last op has:
    with every replica host dead when the window opens, each op fails
    only once its router attempts run out, and 512 clients queue behind
@@ -400,6 +428,8 @@ let suite =
         test_saturation_deterministic;
       Alcotest.test_case "driver: deterministic trial" `Slow
         test_driver_deterministic;
+      Alcotest.test_case "driver: durable txns read their own writes" `Slow
+        test_driver_durable_txns;
       Alcotest.test_case "driver: closed loop outlasts a minute's drain"
         `Slow test_closed_drain_outlasts_a_minute;
       Alcotest.test_case "report: schema accepts valid" `Quick

@@ -352,8 +352,9 @@ let check_frames what want f =
     (List.map pp_frame (List.rev f.frames))
 
 (* A transaction queued first and two single ops behind it ship as one
-   batch frame: the singles first, then the transaction's ops, together
-   and in its order. *)
+   batch frame: the singles first, then the transaction's ops, together,
+   its writes ahead of its reads so that the reads return them.  The
+   replies come back in the transaction's own order. *)
 let test_singles_and_txn_share_a_batch () =
   with_fake_shard ~max_batch:32 (fun cl _ router f ->
       let t = [ Router.Get "t0"; put "t0" "x"; put "t1" "y" ] in
@@ -369,7 +370,14 @@ let test_singles_and_txn_share_a_batch () =
         [
           {
             batched = true;
-            reqs = [ Kv.Put ("s0", "v"); Kv.Get "s1" ] @ List.map req_of t;
+            reqs =
+              [
+                Kv.Put ("s0", "v");
+                Kv.Get "s1";
+                Kv.Put ("t0", "x");
+                Kv.Put ("t1", "y");
+                Kv.Get "t0";
+              ];
           };
         ]
         f;
@@ -378,11 +386,10 @@ let test_singles_and_txn_share_a_batch () =
         [ [ "Value v"; "Written"; "Written" ]; [ "Written" ]; [ "Value v" ] ]
         (List.map (List.map show) replies))
 
-(* Two transactions on a common key never share a frame: the second
-   waits for the next batch and goes first in it, with no further op
-   arriving on the shard to start that batch.  A third, disjoint from
-   the first, rides the first batch. *)
-let test_txns_on_a_key_never_share_a_frame () =
+(* Transactions on a common key share one frame: the replica reads each
+   op at its own place in the round, so none has to wait for the next
+   batch. *)
+let test_txns_on_a_key_share_a_frame () =
   with_fake_shard ~max_batch:32 (fun cl _ router f ->
       let t1 = [ put "k" "1"; put "a" "1" ]
       and t2 = [ put "k" "2"; put "b" "2" ]
@@ -390,11 +397,8 @@ let test_txns_on_a_key_never_share_a_frame () =
       let replies =
         concurrently cl (List.map (fun t () -> txn router t) [ t1; t2; t3 ])
       in
-      check_frames "the second waits for the next frame"
-        [
-          { batched = true; reqs = List.map req_of (t1 @ t3) };
-          { batched = true; reqs = List.map req_of t2 };
-        ]
+      check_frames "one frame"
+        [ { batched = true; reqs = List.map req_of (t1 @ t2 @ t3) } ]
         f;
       List.iter
         (fun rs ->
@@ -432,8 +436,8 @@ let test_cross_shard_txn_refused () =
 
 (* The first attempt of [get k; put k "new"] reads the pre-image and has
    its write refused; the second commits.  The transaction's reads must
-   come from the round that applied its writes, so it is retried whole
-   and answers only once every op is. *)
+   come from the round that applied its writes, so it is retried whole,
+   in the frame [put k; get k], and answers only once every op is. *)
 let test_txn_retried_whole () =
   List.iter
     (fun max_batch ->
@@ -453,7 +457,7 @@ let test_txn_retried_whole () =
             (what ^ ": the post-image") [ "Value new"; "Written" ]
             (List.map show (txn router [ Router.Get "k"; put "k" "new" ]));
           let whole =
-            { batched = true; reqs = [ Kv.Get "k"; Kv.Put ("k", "new") ] }
+            { batched = true; reqs = [ Kv.Put ("k", "new"); Kv.Get "k" ] }
           in
           check_frames (what ^ ": replayed whole") [ whole; whole ] f))
     [ 1; 32 ]
@@ -638,8 +642,8 @@ let suite =
     @ [
         tc "singles and a txn share a batch, singles first"
           test_singles_and_txn_share_a_batch;
-        tc "txns on a common key never share a frame"
-          test_txns_on_a_key_never_share_a_frame;
+        tc "txns on a common key share one frame"
+          test_txns_on_a_key_share_a_frame;
         tc "unbatched, a txn ships alone in the batch frame"
           test_unbatched_txn_ships_alone;
         tc "a cross-shard txn is refused, nothing sent"

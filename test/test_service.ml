@@ -794,6 +794,108 @@ let test_txns_span_sequencer_crash () =
         vs
   | _ -> Alcotest.fail "expected verdicts for exactly one shard"
 
+(* ---------- each read at its own place in its round ---------- *)
+
+let ssd_durable () =
+  {
+    Service.d_store = Amoeba_grouplib.Stable_store.create ();
+    d_sync = Amoeba_grouplib.Rsm.Group_fsync 8;
+    d_checkpoint_every = 64;
+  }
+
+(* Hand-built batch frames to one replica endpoint, on a plain and on a
+   durable shard (whose applier lags the stream by its WAL appends): a
+   read ahead of a write in the frame answers the value the key held
+   before the round, and a read behind it answers that write. *)
+let test_reads_at_their_place_in_the_round () =
+  List.iter
+    (fun durable ->
+      let what = if durable then "durable" else "plain" in
+      let cost = { Cost_model.default with Cost_model.disk = Cost_model.ssd } in
+      let cl = Cluster.create ~cost ~n:4 ~seed:5 () in
+      let replies = ref [] in
+      Cluster.spawn cl (fun () ->
+          let map =
+            Shard_map.create ~shards:1 ~replication:3 ~hosts:[ 0; 1; 2 ] ()
+          in
+          let svc =
+            Service.deploy cl ~map
+              ?durable:(if durable then Some (ssd_durable ()) else None)
+              ()
+          in
+          let ep = (Service.endpoints svc).(0).(0) in
+          let c = Amoeba_rpc.Rpc.client (Cluster.flip cl 3) in
+          let send reqs =
+            match
+              Amoeba_rpc.Rpc.call c ~dst:ep.Service.ep_addr
+                (Kv.encode_batch_request reqs)
+            with
+            | Ok bytes -> Kv.decode_batch_reply bytes
+            | Error _ -> None
+          in
+          replies :=
+            List.map send
+              [
+                [ Kv.Put ("k", "old") ];
+                [ Kv.Get "k"; Kv.Put ("k", "new") ];
+                [ Kv.Put ("k", "newer"); Kv.Get "k" ];
+              ]);
+      Cluster.run ~until:(Time.sec 10) cl;
+      Alcotest.(check (list (option (list string))))
+        (what ^ ": replies")
+        [
+          Some [ "written" ];
+          Some [ "value old"; "written" ];
+          Some [ "written"; "value newer" ];
+        ]
+        (List.map
+           (Option.map
+              (List.map (function
+                | Kv.Value v -> "value " ^ v
+                | Kv.Not_found -> "not found"
+                | Kv.Written -> "written"
+                | Kv.Wrong_shard s -> "wrong shard " ^ string_of_int s
+                | Kv.Busy _ -> "busy")))
+           !replies))
+    [ false; true ]
+
+(* A durable replica's applier stalls on every WAL append, so it lags
+   the rounds its submitters see complete.  Reading "after the round"
+   from whatever it had applied then made read-modify-write
+   transactions miss their own writes.  200 of them over 7 keys, one
+   every 0.7 ms, on one 3-replica ssd shard: each must read back the
+   value it wrote. *)
+let test_durable_txns_read_their_own_writes () =
+  let cfg = { Driver.default with Driver.replication = 3 } in
+  let n = 200 in
+  let wrong, failed =
+    Driver.bring_up ~disk:Cost_model.ssd ~durable:(ssd_durable ()) cfg
+      (fun d ->
+        let cl = d.Driver.cluster in
+        let eng = cl.Cluster.engine in
+        let routers = d.Driver.routers in
+        let wrong = ref 0 and failed = ref 0 and left = ref n in
+        let all_done = Ivar.create () in
+        for i = 0 to n - 1 do
+          Cluster.spawn cl (fun () ->
+              Engine.sleep eng (Time.us (700 * i));
+              let k = "k" ^ string_of_int (i mod 7) in
+              let v = "v" ^ string_of_int i in
+              let router = routers.(i mod Array.length routers) in
+              (match Router.txn router [ Router.Get k; Router.Put (k, v) ] with
+              | Ok [ Router.Value v'; Router.Written ] when v' = v -> ()
+              | Ok [ (Router.Value _ | Router.Not_found); Router.Written ] ->
+                  incr wrong
+              | Ok _ | Error _ -> incr failed);
+              decr left;
+              if !left = 0 then Ivar.fill all_done ())
+        done;
+        Ivar.read eng all_done;
+        (!wrong, !failed))
+  in
+  Alcotest.(check int) "txns that failed" 0 failed;
+  Alcotest.(check int) "txns that read another value" 0 wrong
+
 (* ---------- the load driver against the service ---------- *)
 
 (* 2 shards x 2 replicas over 4 hosts on the paper's 10 Mbit wire,
@@ -893,6 +995,10 @@ let suite =
         test_batch_spans_sequencer_crash;
       tc "txns read their own writes across a sequencer crash"
         test_txns_span_sequencer_crash;
+      tc "a batch reads each op at its own place in the round"
+        test_reads_at_their_place_in_the_round;
+      tc "durable txns read their own writes"
+        test_durable_txns_read_their_own_writes;
       tc "workload smoke" test_workload_smoke;
       tc "workload deterministic" test_workload_deterministic;
       tc "workload open loop" test_workload_open_loop;
