@@ -1,7 +1,7 @@
 # Convenience wrappers around dune; see bench/README.md for the
 # benchmark suite.
 
-.PHONY: all build test bench bench-smoke chaos chaos-net chaos-sweep service batch durability fabric migration migration-sweep loadgen golden golden-update check clean
+.PHONY: all build test bench bench-json bench-smoke chaos chaos-net chaos-sweep service batch durability fabric migration migration-sweep loadgen golden golden-update check clean
 
 all: build
 
@@ -35,6 +35,16 @@ test:
 # Full microbenchmark run; writes BENCH_sim.json at the repo root.
 bench:
 	dune exec bench/main.exe -- micro
+
+# The full-size sweeps behind the committed BENCH_service.json
+# (service, batch, recovery, fabric and migration sections) and
+# BENCH_loadgen.json (the SLO-knee sweep), rewritten at the repo root
+# with the commands bench/README.md names.  Simulated figures only, so
+# a tree regenerates them byte for byte; a PR that moves them says
+# which rows moved.
+bench-json:
+	dune exec bench/main.exe -- service batch recovery fabric migration --json
+	dune exec bench/main.exe -- loadgen --json
 
 # Tiny-parameter smoke run of the perf plumbing (also part of
 # `dune runtest` via the bench-smoke alias).

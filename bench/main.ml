@@ -554,8 +554,9 @@ let batch () =
   header
     "Batching + pipelining: committed ops/s vs batch size, depth, wire (20 machines)"
     "section 4 / conclusion 1: one protocol round per message caps a sequencer\n\
-     near 1 k ops/s of CPU; carrying a batch of ops per round amortises that\n\
-     fixed cost, so ops/s scales with batch size until the wire pushes back";
+     near 1 k ops/s of CPU; a saturated shard ships its whole backlog as one\n\
+     round, so every batch size above 1 meets the same ceiling until the wire\n\
+     pushes back";
   let shards, hosts, routers, replication, seed = (8, 16, 4, 3, 11) in
   let workers = if !smoke_mode then 96 else 1_024 in
   let duration_ms = if !smoke_mode then 400 else 2_000 in

@@ -303,9 +303,11 @@ let scenario_t (d : D.config) =
            again, the regime where shards scale."
       $ net_opt d.net
       $ opt count d.max_batch "max-batch"
-          "Router-side op batching: up to this many ops for one shard are \
-           shipped as one RPC, which the replica submits as one sequencer \
-           round (1 disables batching)."
+          "Router-side op batching: ops for one shard are shipped as one \
+           RPC, which the replica submits as one sequencer round.  A batch \
+           ships once it holds this many ops or the 500 us Nagle timer \
+           fires; ops already queued behind it ride along, so a backlog \
+           ships whole (1 disables batching)."
       $ opt count d.pipeline_depth "pipeline-depth"
           "Unacknowledged sequencer rounds each replica kernel may keep in \
            flight (1 = the paper's lock-step send)."

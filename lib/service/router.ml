@@ -280,26 +280,28 @@ let dispatch t client ss = function
       ship t client ss Batch jobs 1
 
 (* Nagle-style accumulation: starting from one job taken off the queue,
-   keep the pipeline open until the batch holds [max_batch] jobs or
-   [batch_delay] expires — whichever fires first.  A job is a lone op or
-   a whole transaction: counting a transaction's ops instead would cap a batch
-   at a handful of transactions, and a loaded shard's backlog would take
-   more round trips to drain.  Returns the jobs (submission order) and
-   whether the flush was forced by the timer rather than by size. *)
+   take every job already queued, then wait for more until the batch
+   holds [max_batch] jobs or [batch_delay] expires — whichever fires
+   first.  [max_batch] ends the wait, it does not cap the batch: a
+   backlog that piled up during the last round trip ships whole, in one
+   RPC and one sequencer round, so a saturated shard drains its queue
+   instead of letting it grow by whatever exceeds [max_batch] per round
+   trip.  A job is a lone op or a whole transaction.  Returns the jobs
+   (submission order) and whether the flush was forced by the timer
+   rather than by size. *)
 let gather t ss first =
   let deadline = Engine.now t.engine + t.batch_delay in
   let rec go acc n =
-    if n >= t.max_batch then (List.rev acc, false)
-    else
-      match Channel.try_recv ss.queue with
-      | Some job -> go (job :: acc) (n + 1)
-      | None ->
-          let remaining = deadline - Engine.now t.engine in
-          if remaining <= 0 then (List.rev acc, true)
-          else (
-            match Channel.recv_timeout t.engine ss.queue ~timeout:remaining with
-            | Some job -> go (job :: acc) (n + 1)
-            | None -> (List.rev acc, true))
+    match Channel.try_recv ss.queue with
+    | Some job -> go (job :: acc) (n + 1)
+    | None when n >= t.max_batch -> (List.rev acc, false)
+    | None -> (
+        let remaining = deadline - Engine.now t.engine in
+        if remaining <= 0 then (List.rev acc, true)
+        else
+          match Channel.recv_timeout t.engine ss.queue ~timeout:remaining with
+          | Some job -> go (job :: acc) (n + 1)
+          | None -> (List.rev acc, true))
   in
   go [ first ] 1
 
@@ -319,9 +321,10 @@ let compose jobs =
    it.  While every worker is busy shipping, arrivals pile up on the
    queue untouched — they would only be waiting in line anyway — and
    the first worker to free up drains that whole backlog into one
-   batch at once.  So batches grow exactly when the shard is saturated
-   (where amortising the sequencer round matters) and the [batch_delay]
-   Nagle timer only ever adds latency when there is spare capacity. *)
+   batch at once, however far past [max_batch] it has grown ([gather]).
+   So batches grow exactly when the shard is saturated (where
+   amortising the sequencer round matters) and the [batch_delay] Nagle
+   timer only ever adds latency when there is spare capacity. *)
 let worker t flip ss () =
   let client = Rpc.client flip in
   let rec loop () =

@@ -64,11 +64,15 @@ val create :
     crash-proof state.  Writes are unaffected.
 
     [max_batch] (default 1) turns on op batching: a worker that takes
-    a request off its shard's pipeline keeps accumulating until it
-    holds [max_batch] requests — a transaction counts as one — or
+    a request off its shard's pipeline takes every request already
+    queued behind it, then keeps waiting for more until it holds
+    [max_batch] requests — a transaction counts as one — or
     [batch_delay] (default 500 µs, Nagle-style) has passed since the
     first — whichever fires first — and ships the lot as one RPC,
-    which the replica submits as one sequencer round.  A batch is laid
+    which the replica submits as one sequencer round.  [max_batch]
+    ends the Nagle wait early; it does not cap the batch: a backlog
+    that queued up during the previous round trip ships whole, so a
+    saturated shard drains its queue in one round.  A batch is laid
     out as its single ops followed by its transactions, each
     transaction's ops together; the replica answers each read at its
     own place in the round, so transactions on a common key share a

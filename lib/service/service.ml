@@ -735,6 +735,11 @@ let sequencer_of t shard =
 let applied t shard =
   List.map (fun r -> (r.r_host, R.applied r.r_rsm)) t.replicas.(shard)
 
+let group_info t shard =
+  List.map
+    (fun r -> (r.r_host, Api.get_info_group (R.group r.r_rsm)))
+    t.replicas.(shard)
+
 (* Retired replicas' streams ride along (never held to durability, and
    labelled with a trailing '-'): the total-order and migration-safety
    invariants must see both sides of a cutover, since the source's

@@ -135,6 +135,10 @@ val endpoints : t -> endpoint array array
 val applied : t -> int -> (int * int) list
 (** [applied t shard] is [(host, updates applied)] per live replica. *)
 
+val group_info : t -> int -> (int * Api.info) list
+(** [group_info t shard] is [(host, GetInfoGroup)] per live replica:
+    its group kernel's counters, repair traffic included. *)
+
 val reads : t -> int
 
 val writes_ok : t -> int

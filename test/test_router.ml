@@ -292,7 +292,7 @@ let run_row mode row () =
    0, and a router on machine 2.  The fake answers a get with
    [Value "v"] and a write with [Written] unless the test scripts
    otherwise.  [body] runs as a cluster process and must return. *)
-let with_fake_shard ?(shards = 1) ~max_batch body =
+let with_fake_shard ?(shards = 1) ?batch_delay ~max_batch body =
   let cl = Cluster.create ~n:3 ~seed:5 () in
   let finished = ref false in
   Cluster.spawn cl (fun () ->
@@ -301,7 +301,8 @@ let with_fake_shard ?(shards = 1) ~max_batch body =
         Some (function Kv.Get _ -> Kv.Value "v" | _ -> Kv.Written);
       let map = Shard_map.create ~shards ~replication:1 ~hosts:[ 2 ] () in
       let router =
-        Router.create (Cluster.flip cl 2) ~max_batch ~timeout ~attempts ~map
+        Router.create (Cluster.flip cl 2) ~max_batch ?batch_delay ~timeout
+          ~attempts ~map
           ~endpoints:(Array.make shards [| f.ep |])
           ()
       in
@@ -461,6 +462,70 @@ let test_txn_retried_whole () =
           in
           check_frames (what ^ ": replayed whole") [ whole; whole ] f))
     [ 1; 32 ]
+
+(* ---------- max_batch ends the wait, it does not cap the batch ---------- *)
+
+(* [n] concurrent puts on keys [prefix0] ... *)
+let puts router prefix n =
+  List.init n (fun i () -> [ Router.put router (prefix ^ string_of_int i) "v" ])
+
+let frame_sizes f =
+  List.rev_map (fun fr -> (fr.batched, List.length fr.reqs)) f.frames
+
+(* A burst of exactly [max_batch] puts ships at once, in one batch
+   frame, without waiting out a 1 s Nagle timer. *)
+let test_full_burst_skips_the_timer () =
+  with_fake_shard ~max_batch:4 ~batch_delay:(Time.sec 1)
+    (fun cl _ router f ->
+      let t0 = Engine.now cl.Cluster.engine in
+      let replies = List.concat (concurrently cl (puts router "a" 4)) in
+      let elapsed = Engine.now cl.Cluster.engine - t0 in
+      Alcotest.(check bool) "all written" true (List.for_all written replies);
+      Alcotest.(check (list (pair bool int))) "one batch frame" [ (true, 4) ]
+        (frame_sizes f);
+      Alcotest.(check int) "no timer flush" 0
+        (Router.stats router).Router.partial_flushes;
+      Alcotest.(check bool)
+        (Printf.sprintf "no Nagle wait (%.1f ms)" (Time.to_ms elapsed))
+        true
+        (elapsed < Time.ms 100))
+
+(* While one batch is in flight, 3 x [max_batch] puts queue up behind
+   it.  The next shipment takes the whole backlog: one batch frame, one
+   RPC, one sequencer round, not three [max_batch]-sized ones. *)
+let test_backlog_ships_in_one_frame () =
+  with_fake_shard ~max_batch:4 ~batch_delay:(Time.sec 1)
+    (fun cl _ router f ->
+      let eng = cl.Cluster.engine in
+      let held = ref false in
+      f.answer <-
+        Some
+          (fun _ ->
+            if not !held then begin
+              held := true;
+              Engine.sleep eng (Time.ms 20)
+            end;
+            Kv.Written);
+      let first = Ivar.create () in
+      Cluster.spawn cl (fun () ->
+          Ivar.fill first (concurrently cl (puts router "a" 4)));
+      Engine.sleep eng (Time.ms 5);
+      let t0 = Engine.now eng in
+      let backlog = List.concat (concurrently cl (puts router "b" 12)) in
+      let elapsed = Engine.now eng - t0 in
+      let first = List.concat (Ivar.read eng first) in
+      Alcotest.(check bool) "all written" true
+        (List.for_all written (first @ backlog));
+      Alcotest.(check (list (pair bool int)))
+        "the in-flight batch, then the whole backlog in one frame"
+        [ (true, 4); (true, 12) ]
+        (frame_sizes f);
+      Alcotest.(check int) "no timer flush" 0
+        (Router.stats router).Router.partial_flushes;
+      Alcotest.(check bool)
+        (Printf.sprintf "no Nagle wait (%.1f ms)" (Time.to_ms elapsed))
+        true
+        (elapsed < Time.ms 100))
 
 (* ---------- Wrong_shard cannot wedge a shard's pipeline ---------- *)
 
@@ -649,6 +714,10 @@ let suite =
         tc "a cross-shard txn is refused, nothing sent"
           test_cross_shard_txn_refused;
         tc "a txn is retried whole" test_txn_retried_whole;
+        tc "a full burst ships without the Nagle wait"
+          test_full_burst_skips_the_timer;
+        tc "a backlog ships whole, in one frame"
+          test_backlog_ships_in_one_frame;
         tc "wrong shard fails fast" test_wrong_shard_fails_fast;
         tc "an expelled replica is a dead endpoint"
           test_expelled_replica_is_dead;
