@@ -6,24 +6,16 @@
 all: build
 
 # Everything a pre-merge run needs: formatting gate (dune files; see
-# dune-project), full build, the test suites, and the chaos/bench
-# smoke aliases.  All of them but chaos-smoke and micro are expect
-# tests: a changed report fails with a diff against the alias's
-# .expected file, and `dune promote` accepts a deliberate change.
+# dune-project), full build, the test suites and the golden figures.
+# `dune runtest` already builds every smoke alias (bin/dune, bench/dune)
+# and the benchmark's agreement check (test/dune).  All the smoke
+# aliases but chaos-smoke are expect tests: a changed report fails with
+# a diff against the alias's .expected file, and `dune promote` accepts
+# a deliberate change.
 check:
 	dune build @fmt
 	dune build
 	dune runtest
-	dune build @perfbench/agree
-	dune build @chaos-smoke
-	dune build @bench-smoke
-	dune build @service-smoke
-	dune build @batch-smoke
-	dune build @durability-smoke
-	dune build @fabric-smoke
-	dune build @migration-smoke
-	dune build @loadgen-smoke
-	dune build @flag-errors
 	$(MAKE) golden
 
 build:
@@ -52,8 +44,8 @@ bench-smoke:
 	dune build @bench-smoke
 
 # Seeded fault-injection runs with invariant checking (also part of
-# `dune runtest` via the chaos-smoke alias), plus the mid-migration
-# chaos scenarios.  Replay any seed with
+# `dune runtest` via the chaos-smoke alias), plus the service fault
+# runner's mid-migration chaos scenarios.  Replay any seed with
 #   dune exec bin/amoeba.exe -- chaos --seed N
 #   dune exec bin/amoeba.exe -- migration-chaos --seed N
 chaos:
@@ -110,7 +102,8 @@ batch:
 # durability-smoke alias): healthy durable chaos, seeded and explicit
 # whole-cluster power cycles on clean and adversarial nets, and a
 # service workload that loses every host mid-run under
-# fsync-per-commit.  Replay with e.g.
+# fsync-per-commit, judged before the cut and again on the recovered
+# service.  Replay with e.g.
 #   dune exec bin/amoeba.exe -- chaos --seed N --disk ssd
 #   dune exec bin/amoeba.exe -- workload --disk ssd --fsync commit --power-cycle
 durability:
@@ -128,8 +121,9 @@ fabric:
 # migration-smoke alias): invariant-checked mid-migration chaos —
 # source-sequencer crash, destination crash (rollback), whole-cluster
 # power cycle inside the transfer window — plus `--migrate` and
-# `--rebalance` workload runs.  The 120-schedule swarm lives in
-# test/test_migration.ml (part of `dune runtest`).  Replay with e.g.
+# `--rebalance` workload runs, all through the one service fault
+# runner (lib/loadgen/fault_runner.ml).  The 120-schedule swarm lives
+# in test/test_migration.ml (part of `dune runtest`).  Replay with e.g.
 #   dune exec bin/amoeba.exe -- migration-chaos --seed N --power-cycle
 migration:
 	dune build @migration-smoke

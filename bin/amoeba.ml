@@ -256,6 +256,7 @@ let chaos_cmd =
 (* ----- the sharded service layer ----- *)
 
 module D = Amoeba_loadgen.Driver
+module F = Amoeba_loadgen.Fault_runner
 
 (* The one description of a service run: each flag sets one field of
    a {!D.config}, and each command passes in its own defaults. *)
@@ -387,10 +388,13 @@ let workload_cmd =
     flag "power-cycle"
       "Requires --disk.  Write sentinel keys a quarter of the way through, \
        power off EVERY server host at the halfway mark, restart them ~275 \
-       simulated ms later, recover the whole service from its disks, \
-       repoint the routers, and read the sentinels back.  With --fsync \
-       commit any acked sentinel lost across the cycle fails the run (exit \
-       1); weaker policies report trailing-window losses without failing."
+       simulated ms later, recover each shard from the disks of every host \
+       that ever held it (a --migrate or --rebalance destination too), \
+       repoint the routers, and read the sentinels back.  The streams from \
+       before the cut and the recovered service are both judged.  With \
+       --fsync commit any acked sentinel lost across the cycle fails the \
+       run (exit 1); weaker policies report trailing-window losses without \
+       failing."
   in
   let stale_reads_t =
     flag "stale-reads"
@@ -424,7 +428,6 @@ let workload_cmd =
   let run (cfg : D.config) r read_ratio dist skew workers rate crash_seq
       crash_follower disk checkpoint_every fsync power_cycle stale_reads
       migrate rebalance json =
-    let open Amoeba_sim in
     let open Amoeba_service in
     let dist =
       match dist with
@@ -448,18 +451,31 @@ let workload_cmd =
         (Printf.sprintf
            "--migrate: only %d hosts free of shard 0 replicas, %d needed"
            (cfg.hosts - cfg.replication) cfg.replication);
-    (* Fault times are fractions of the whole run, warm-up included. *)
+    (* Fault times are fractions of the whole run, warm-up included;
+       the hosts are shard 0's in the deploy placement. *)
     let span = cfg.warmup + cfg.duration in
-    let host_list = List.init cfg.hosts Fun.id in
-    let failed = ref false in
-    let crashing = crash_seq || crash_follower in
-    (* Invariants are checked whenever the run disturbs the service —
-       crashes, live migration, elastic rebalancing — not only on the
-       crash paths: a migration that loses or duplicates a write must
-       fail the run (exit 1), not just print throughput.  The record
-       tap is a pure callback with no simulated cost, so enabling it
-       does not move any measured figure. *)
-    let checking = crashing || migrate || rebalance in
+    let shard0 = Shard_map.replica_hosts (D.placement cfg) 0 in
+    let fresh =
+      List.filter (fun h -> not (List.mem h shard0)) (List.init cfg.hosts Fun.id)
+    in
+    let step on at action = if on then [ { F.at; action } ] else [] in
+    let plan =
+      List.concat
+        [
+          step power_cycle (span / 4) (F.Sentinels 10);
+          step migrate (span / 3)
+            (F.Migrate
+               {
+                 shard = 0;
+                 hosts = List.filteri (fun i _ -> i < cfg.replication) fresh;
+                 timeout = None;
+               });
+          step rebalance 0 F.Rebalance;
+          step crash_seq (span / 2) (F.Crash (List.hd shard0));
+          step crash_follower (span / 2) (F.Crash (List.nth shard0 1));
+          step power_cycle (span / 2) F.Power_cycle;
+        ]
+    in
     let durable =
       Option.map
         (fun _ ->
@@ -470,231 +486,17 @@ let workload_cmd =
           })
         disk
     in
-    D.bring_up ?disk ?durable ~resilience:r ~record:checking ~stale_reads
-      ~impair_bring_up:true cfg (fun d ->
-        let cl = d.D.cluster and svc = d.D.service and map = d.D.map in
-        let eng = cl.Cluster.engine in
-        let rs = Array.to_list d.D.routers in
-        (* Fibers the report waits for, so their verdicts are in. *)
-        let side = ref [] in
-        let spawn_side f =
-          let iv = Ivar.create () in
-          side := iv :: !side;
-          Cluster.spawn cl (fun () ->
-              f ();
-              Ivar.fill iv ())
-        in
-        (if power_cycle then
-           let dc = Option.get durable in
-           spawn_side (fun () ->
-               Engine.sleep eng (span / 4);
-               (* Sentinel writes: the acked ones are the durability
-                  obligations the cycle must not revoke. *)
-               let router0 = List.hd rs in
-               let acked = ref [] in
-               for i = 0 to 9 do
-                 let k = Printf.sprintf "sentinel-%d" i in
-                 match Router.put router0 k (Printf.sprintf "s%d" i) with
-                 | Router.Written -> acked := i :: !acked
-                 | _ -> ()
-               done;
-               let cut = span / 2 in
-               let now = Engine.now eng in
-               if cut > now then Engine.sleep eng (cut - now);
-               Printf.printf
-                 "power loss: all %d server hosts down at t=%.1fs\n%!" cfg.hosts
-                 (Amoeba_sim.Time.to_sec (Engine.now eng));
-               List.iter
-                 (fun h -> Amoeba_net.Machine.crash (Cluster.machine cl h))
-                 host_list;
-               Engine.sleep eng (Amoeba_sim.Time.ms 275);
-               List.iter (fun h -> Cluster.restart cl h) host_list;
-               let svc' =
-                 Service.recover cl ~map ~durable:dc ~resilience:r
-                   ~pipeline:cfg.pipeline_depth ()
-               in
-               List.iter
-                 (fun router ->
-                   Router.update_endpoints router (Service.endpoints svc'))
-                 rs;
-               List.iter
-                 (fun sr ->
-                   Printf.printf "recovered: shard %d from m%d at %d applied (%s)\n%!"
-                     sr.Service.sr_shard sr.Service.sr_creator
-                     sr.Service.sr_applied
-                     (String.concat ", "
-                        (List.map
-                           (fun hr ->
-                             Printf.sprintf "m%d:%s" hr.Service.hr_host
-                               (match hr.Service.hr_error with
-                               | Some _ -> "refused"
-                               | None -> string_of_int hr.Service.hr_applied))
-                           sr.Service.sr_hosts)))
-                 (Service.recovery_report svc');
-               let lost = ref [] in
-               List.iter
-                 (fun i ->
-                   let k = Printf.sprintf "sentinel-%d" i in
-                   match Router.get router0 k with
-                   | Router.Value _ -> ()
-                   | _ -> lost := k :: !lost)
-                 (List.rev !acked);
-               Printf.printf "sentinels: %d acked, %d lost across the cycle%s\n%!"
-                 (List.length !acked) (List.length !lost)
-                 (if !lost = [] then ""
-                  else " (" ^ String.concat ", " !lost ^ ")");
-               match (dc.Service.d_sync, !lost) with
-               | _, [] -> ()
-               | Amoeba_grouplib.Rsm.Every_commit, _ ->
-                   Printf.printf
-                     "FAIL: acked writes lost under fsync-per-commit\n%!";
-                   failed := true
-               | _ ->
-                   Printf.printf
-                     "(allowed by the fsync policy's trailing window)\n%!"));
-        let repoint () =
-          List.iter
-            (fun router -> Router.update_endpoints router (Service.endpoints svc))
-            rs
-        in
-        let pp_hosts hs =
-          String.concat "," (List.map (Printf.sprintf "m%d") hs)
-        in
-        (if migrate then
-           spawn_side (fun () ->
-               Engine.sleep eng (span / 3);
-               let cur = Shard_map.replica_hosts (Service.map svc) 0 in
-               let tgt =
-                 List.filteri (fun i _ -> i < cfg.replication)
-                   (List.filter (fun h -> not (List.mem h cur)) host_list)
-               in
-               let t0 = Engine.now eng in
-               match Service.migrate_shard svc ~shard:0 ~hosts:tgt () with
-               | Ok () ->
-                   repoint ();
-                   Printf.printf
-                     "migrated:  shard 0 [%s] -> [%s] in %.1f simulated ms\n%!"
-                     (pp_hosts cur)
-                     (pp_hosts (Shard_map.replica_hosts (Service.map svc) 0))
-                     (Amoeba_sim.Time.to_sec (Engine.now eng - t0) *. 1000.)
-               | Error e -> Printf.printf "migrate: failed: %s\n%!" e));
-        (if rebalance then
-           ignore
-             (Rebalancer.start cl svc
-                ~on_move:(fun mv ->
-                  match mv.Rebalancer.mv_result with
-                  | Ok () ->
-                      repoint ();
-                      Printf.printf
-                        "rebalanced: shard %d [%s] -> [%s] at t=%.1fs\n%!"
-                        mv.Rebalancer.mv_shard
-                        (pp_hosts mv.Rebalancer.mv_from)
-                        (pp_hosts mv.Rebalancer.mv_to)
-                        (Amoeba_sim.Time.to_sec mv.Rebalancer.mv_time)
-                  | Error e ->
-                      Printf.printf "rebalance: shard %d move failed: %s\n%!"
-                        mv.Rebalancer.mv_shard e)
-                ()));
-        let crash_at delay what h =
-          Cluster.spawn cl (fun () ->
-              Engine.sleep eng delay;
-              Printf.printf "crashing m%d (shard 0's %s) at t=%.1fs\n%!" h what
-                (Amoeba_sim.Time.to_sec (Engine.now eng));
-              Amoeba_net.Machine.crash (Cluster.machine cl h))
-        in
-        let crashed =
-          (if crash_seq then begin
-             let h = Shard_map.sequencer_host map 0 in
-             crash_at (span / 2) "sequencer" h;
-             [ h ]
-           end
-           else [])
-          @
-          if crash_follower then begin
-            let follower = List.nth (Shard_map.replica_hosts map 0) 1 in
-            crash_at (span / 2) "serving follower" follower;
-            [ follower ]
-          end
-          else []
-        in
-        let t =
-          D.drive d
-            (match rate with Some rate -> D.Open rate | None -> D.Closed workers)
-        in
-        List.iter (Ivar.read eng) !side;
-        Format.printf "%a@." D.pp_trial t;
-        if json then print_string (Bench_json.to_string (D.trial_to_json t));
-        let agg f = List.fold_left (fun a r -> a + f (Router.stats r)) 0 rs in
-        Printf.printf
-          "routers:   %d ops, %d retries, %d failovers, %d dead probes\n"
-          (agg (fun s -> s.Router.ops))
-          (agg (fun s -> s.Router.retries))
-          (agg (fun s -> s.Router.failovers))
-          (agg (fun s -> s.Router.probes_dead));
-        let batches = agg (fun s -> s.Router.batches_sent) in
-        let batched_ops = agg (fun s -> s.Router.ops_batched) in
-        Printf.printf
-          "batching:  %d batches (%.1f ops/batch avg), %d partial flushes, %d \
-           batch retries\n"
-          batches
-          (if batches = 0 then 1.
-           else float_of_int batched_ops /. float_of_int batches)
-          (agg (fun s -> s.Router.partial_flushes))
-          (agg (fun s -> s.Router.batch_retries));
-        Printf.printf "service:   %d reads, %d writes ok, %d busy rejections\n"
-          (Service.reads svc) (Service.writes_ok svc) (Service.writes_busy svc);
-        let m = cl.Cluster.net in
-        Printf.printf
-          "fabric:    %.1f%% utilisation, %d frames, %d KB, %d collisions, %d \
-           queue drops\n"
-          (100. *. Amoeba_net.Medium.utilisation m)
-          (Amoeba_net.Medium.frames_delivered m)
-          (Amoeba_net.Medium.bytes_delivered m / 1024)
-          (Amoeba_net.Medium.collisions m)
-          (Amoeba_net.Medium.queue_drops m);
-        (match durable with
-        | None -> ()
-        | Some dc ->
-            let c = Amoeba_grouplib.Stable_store.counters dc.Service.d_store in
-            let module S = Amoeba_grouplib.Stable_store in
-            Printf.printf
-              "storage:   %d wal appends, %d fsyncs, %d checkpoints, %d wal \
-               trims, %d writes lost to dead machines\n"
-              c.S.wal_appends c.S.fsyncs c.S.kv_writes c.S.wal_trims
-              c.S.writes_dropped;
-            if power_cycle then
-              Printf.printf
-                "replayed:  %d records recovered, %d torn tails truncated, %d \
-                 checksum rejects\n"
-                c.S.records_replayed c.S.torn_tails c.S.checksum_rejects);
-        if stale_reads then
-          Printf.printf "stale:     %d bounded-staleness gets\n"
-            (agg (fun s -> s.Router.stale_gets));
-        if checking then begin
-          List.iter
-            (fun (shard, vs) ->
-              List.iter
-                (fun v ->
-                  Format.printf "shard %d: %a@." shard Checker.pp_verdict v;
-                  if not v.Checker.ok then failed := true)
-                vs)
-            (Service.check svc ~crashed);
-          Printf.printf "verdict:   %s\n"
-            (if !failed then "FAIL" else "PASS")
-        end;
-        (* Per-replica applied counts by shard, printed when the verdict
-           fails or some operation did not complete: identical numbers
-           mean a healthy group, divergent ones a fissioned membership —
-           the fingerprint that cracked the 32-shard herd collapse. *)
-        if !failed || t.D.completed < t.D.attempted then
-          for s = 0 to cfg.shards - 1 do
-            Printf.printf "shard %d applied: %s\n" s
-              (String.concat " "
-                 (List.map
-                    (fun (h, a) -> Printf.sprintf "m%d:%d" h a)
-                    (Service.applied svc s)))
-          done);
-    if !failed then exit 1
+    let o =
+      F.run ?disk ?durable ~resilience:r ~stale_reads cfg
+        (match rate with Some rate -> D.Open rate | None -> D.Closed workers)
+        plan
+    in
+    Format.printf "%a@." F.pp_outcome o;
+    Option.iter
+      (fun (t, _) ->
+        if json then print_string (Bench_json.to_string (D.trial_to_json t)))
+      o.F.measured;
+    if not (F.ok o) then exit 1
   in
   Cmd.v
     (Cmd.info "workload"
@@ -738,23 +540,20 @@ let migration_chaos_cmd =
        lost fails the run)."
   in
   let workers_t = opt count 8 "workers" "Closed-loop clients." in
-  let duration_t = opt count 1200 "duration" "Simulated ms." in
+  (* The first 50 ms are warm-up, so a shorter run measures nothing. *)
+  let duration_t =
+    opt
+      (checked "an integer > 50" (fun n -> n > 50) Arg.int)
+      1200 "duration" "Simulated ms, the 50 ms warm-up included."
+  in
   let run seed net crash_source crash_dest power_cycle workers duration_ms =
-    let module Migration_chaos = Amoeba_loadgen.Migration_chaos in
-    let spec =
-      {
-        Migration_chaos.mc_seed = seed;
-        mc_net = net;
-        mc_crash_source = crash_source;
-        mc_crash_dest = crash_dest;
-        mc_power_cycle = power_cycle;
-        mc_workers = workers;
-        mc_duration_ms = duration_ms;
-      }
+    let c =
+      { F.seed; net; crash_source; crash_dest; power_cycle; workers; duration_ms }
     in
-    let o = Migration_chaos.run spec in
-    Format.printf "%a@." Migration_chaos.pp_outcome o;
-    if not (Migration_chaos.ok o) then exit 1
+    print_endline (F.replay_line c);
+    let o = F.run_chaos c in
+    Format.printf "%a@." F.pp_outcome o;
+    if not (F.ok o) then exit 1
   in
   Cmd.v
     (Cmd.info "migration-chaos"

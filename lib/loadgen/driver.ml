@@ -50,13 +50,14 @@ type deployment = {
   routers : Router.t array;
 }
 
+let placement cfg =
+  Shard_map.create ~shards:cfg.shards ~replication:cfg.replication
+    ~hosts:(List.init cfg.hosts Fun.id) ()
+
 let bring_up ?disk ?durable ?(resilience = 1) ?(record = false)
     ?(stale_reads = false) ?(impair_bring_up = false) cfg body =
   let fabric, conditions = cfg.net in
-  let map =
-    Shard_map.create ~shards:cfg.shards ~replication:cfg.replication
-      ~hosts:(List.init cfg.hosts Fun.id) ()
-  in
+  let map = placement cfg in
   let cost =
     let c = Cost_model.(with_mbps cfg.wire_mbps default) in
     match disk with Some disk -> { c with Cost_model.disk } | None -> c

@@ -50,6 +50,10 @@ val default : config
     Ether, batch 32 / depth 4, YCSB-A over 1000 keys, 32-byte values,
     3-key transactions, 2 s window after 500 ms warmup, seed 11. *)
 
+val placement : config -> Shard_map.t
+(** The placement {!bring_up} deploys: [shards] groups of [replication]
+    replicas over hosts [0 .. hosts-1]. *)
+
 type deployment = {
   cfg : config;
   cluster : Cluster.t;

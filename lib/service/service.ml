@@ -392,7 +392,10 @@ let build cl ~map ?(resilience = 1) ?(send_method = T.Pb) ?(pipeline = 1)
             ~seed:(seed_for shard)
         in
         match Ivar.read eng iv0 with
-        | Error e -> failwith ("Service.deploy: create failed: " ^ e)
+        | Error e ->
+            failwith
+              (Printf.sprintf "shard %d: create on m%d failed: %s" shard
+                 (List.hd hosts) e)
         | Ok (r0, eps0) ->
             t.replicas.(shard) <- [ r0 ];
             let addr = R.address r0.r_rsm in
@@ -404,7 +407,10 @@ let build cl ~map ?(resilience = 1) ?(send_method = T.Pb) ?(pipeline = 1)
                       ~seed:None
                   in
                   match Ivar.read eng iv with
-                  | Error e -> failwith ("Service.deploy: join failed: " ^ e)
+                  | Error e ->
+                      failwith
+                        (Printf.sprintf "shard %d: join of m%d failed: %s"
+                           shard host e)
                   | Ok (r, eps) ->
                       t.replicas.(shard) <- t.replicas.(shard) @ [ r ];
                       eps)

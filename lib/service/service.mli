@@ -89,7 +89,9 @@ val deploy :
     that many rounds unacknowledged instead of lock-stepping them.
     [durable] makes every replica log committed updates to a WAL and
     checkpoint per the config's policy, so {!recover} can bring the
-    whole service back after a total power loss. *)
+    whole service back after a total power loss.  Raises [Failure]
+    naming the shard and host when a replica cannot create or join its
+    group ({!recover} too). *)
 
 val recover :
   Cluster.t ->

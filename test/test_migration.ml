@@ -1,14 +1,17 @@
 (* Live shard migration: directed scenarios for the happy path, the
    sequencer-only move, and the rollback on a dead destination; the
-   shard-map reassignment properties; and the fifth 120-schedule chaos
-   swarm — random crash/power-cycle plans aimed at the transfer window,
-   checked against migration-safety plus the base invariants. *)
+   shard-map reassignment properties; the service fault runner's
+   power-cycle and failed-deploy paths; and the fifth 120-schedule
+   chaos swarm — random crash/power-cycle plans aimed at the transfer
+   window, checked against migration-safety plus the base
+   invariants. *)
 
 open Amoeba_sim
 open Amoeba_net
 open Amoeba_harness
 open Amoeba_service
-module Migration_chaos = Amoeba_loadgen.Migration_chaos
+module F = Amoeba_loadgen.Fault_runner
+module Driver = Amoeba_loadgen.Driver
 
 (* ---------- shard-map reassignment properties ---------- *)
 
@@ -308,53 +311,49 @@ let swarm_case =
       bool >>= fun hostile ->
       bool >>= fun crash_source ->
       bool >>= fun crash_dest ->
-      bool >>= fun power ->
+      bool >>= fun power_cycle ->
       return
         {
-          Migration_chaos.mc_seed = seed;
-          mc_net = (fabric, if hostile then adversarial else Impair.clean);
-          mc_crash_source = crash_source;
-          mc_crash_dest = crash_dest;
-          mc_power_cycle = power;
-          mc_workers = 8;
-          mc_duration_ms = 1200;
+          (F.chaos ~seed) with
+          F.net = (fabric, if hostile then adversarial else Impair.clean);
+          crash_source;
+          crash_dest;
+          power_cycle;
         })
   in
-  QCheck.make ~print:Migration_chaos.replay_line gen
+  QCheck.make ~print:F.replay_line gen
 
 let prop_migration_swarm =
   QCheck.Test.make
     ~name:"swarm: migration-safety holds under mid-migration chaos" ~count:120
-    swarm_case (fun spec -> Migration_chaos.ok (Migration_chaos.run spec))
+    swarm_case (fun c -> F.ok (F.run_chaos c))
+
+(* An outcome carries a trial, whose percentiles are nan when nothing
+   completed, and nan <> nan: compare the printed reports. *)
+let report o = Format.asprintf "%a" F.pp_outcome o
 
 let prop_migration_chaos_deterministic =
   QCheck.Test.make ~name:"migration chaos replays bit-identically" ~count:4
     QCheck.(int_range 0 9_999)
     (fun seed ->
-      let spec =
-        {
-          (Migration_chaos.default ~seed) with
-          Migration_chaos.mc_crash_source = true;
-          mc_power_cycle = true;
-        }
-      in
-      Migration_chaos.run spec = Migration_chaos.run spec)
+      let c = { (F.chaos ~seed) with F.crash_source = true; power_cycle = true } in
+      report (F.run_chaos c) = report (F.run_chaos c))
 
-(* The replay line carries the whole spec: its [--net] argument parses
-   back to the fabric and conditions that ran, for every profile, and
-   non-default workers and duration are printed too. *)
+(* The replay line carries the whole scenario: its [--net] argument
+   parses back to the fabric and conditions that ran, for every
+   profile, and non-default workers and duration are printed too. *)
 let test_replay_line_round_trips () =
   List.iter
     (fun fabric ->
       List.iter
         (fun (name, conds) ->
           let line =
-            Migration_chaos.replay_line
+            F.replay_line
               {
-                (Migration_chaos.default ~seed:3) with
-                Migration_chaos.mc_net = (fabric, conds);
-                mc_workers = 5;
-                mc_duration_ms = 900;
+                (F.chaos ~seed:3) with
+                F.net = (fabric, conds);
+                workers = 5;
+                duration_ms = 900;
               }
           in
           let rec after flag = function
@@ -374,17 +373,19 @@ let test_replay_line_round_trips () =
 (* Each profile runs itself, not one shared hostile stand-in. *)
 let test_profiles_differ () =
   let run name =
-    Migration_chaos.run
+    F.run_chaos
       {
-        (Migration_chaos.default ~seed:1) with
-        Migration_chaos.mc_net =
-          (Medium.Shared, List.assoc name Medium.condition_profiles);
+        (F.chaos ~seed:1) with
+        F.net = (Medium.Shared, List.assoc name Medium.condition_profiles);
       }
   in
   let dup = run "dup" and adv = run "adversarial" in
-  Alcotest.(check bool) "dup passes" true (Migration_chaos.ok dup);
+  Alcotest.(check bool) "dup passes" true (F.ok dup);
   Alcotest.(check bool) "dup and adversarial runs differ" true
-    ({ dup with Migration_chaos.o_spec = adv.Migration_chaos.o_spec } <> adv)
+    (report dup <> report adv)
+
+let expect_pass line o =
+  if not (F.ok o) then Alcotest.failf "%s@.%a" line F.pp_outcome o
 
 (* Replays in which the source sequencer handed the application the
    send behind a member's Leave before the Leave itself ("seq went 64
@@ -394,18 +395,115 @@ let test_profiles_differ () =
 let test_leave_order_replays () =
   List.iter
     (fun (seed, net, crash_source) ->
-      let spec =
+      let c =
         {
-          (Migration_chaos.default ~seed) with
-          Migration_chaos.mc_net = Result.get_ok (Medium.net_of_string net);
-          mc_crash_source = crash_source;
+          (F.chaos ~seed) with
+          F.net = Result.get_ok (Medium.net_of_string net);
+          crash_source;
         }
       in
-      let o = Migration_chaos.run spec in
-      if not (Migration_chaos.ok o) then
-        Alcotest.failf "%s@.%a" (Migration_chaos.replay_line spec)
-          Migration_chaos.pp_outcome o)
+      expect_pass (F.replay_line c) (F.run_chaos c))
     [ (147, "switch+adversarial", false); (31, "ether", true) ]
+
+(* A join that fails during bring-up is a failed run with its reason,
+   not an exception out of the runner. *)
+let test_failed_deploy_is_reported () =
+  let c =
+    {
+      (F.chaos ~seed:56) with
+      F.net = Result.get_ok (Medium.net_of_string "switch:2x3@2+adversarial");
+      crash_dest = true;
+    }
+  in
+  let o = F.run_chaos c in
+  Alcotest.(check bool) "not ok" false (F.ok o);
+  Alcotest.(check bool) "no load measured" true (o.F.measured = None);
+  match o.F.failure with
+  | Some e ->
+      Alcotest.(check bool) ("reason names the deploy: " ^ e) true
+        (String.starts_with ~prefix:"deploy: " e)
+  | None -> Alcotest.fail "no failure reason"
+
+(* The workload's durable scenario: 2 shards, replication 3, fsync per
+   commit, on 8 hosts — room for a full fresh replica set. *)
+let durable_cfg =
+  {
+    Driver.default with
+    Driver.shards = 2;
+    hosts = 8;
+    routers = 2;
+    replication = 3;
+    wire_mbps = 10;
+    max_batch = 32;
+    pipeline_depth = 4;
+    mix = Amoeba_loadgen.Mix.read_write ~read:0.0 Keygen.Uniform;
+    duration = Time.ms 2000;
+    warmup = Time.zero;
+    seed = 11;
+  }
+
+let run_durable plan =
+  F.run ~disk:Cost_model.ssd
+    ~durable:
+      {
+        Service.d_store = Amoeba_grouplib.Stable_store.create ();
+        d_sync = Amoeba_grouplib.Rsm.Every_commit;
+        d_checkpoint_every = 64;
+      }
+    ~resilience:1 durable_cfg (Driver.Closed 8) plan
+
+let recovered_verdicts o =
+  List.filter
+    (fun (label, _) -> String.ends_with ~suffix:"'" label)
+    (Option.value ~default:[] o.F.verdicts)
+
+(* A plan with only a power cycle judges the recovered service, not
+   just the streams from before the cut. *)
+let test_power_cycle_judges_recovered () =
+  let o =
+    run_durable
+      [
+        { F.at = Time.ms 500; action = F.Sentinels 10 };
+        { F.at = Time.ms 1000; action = F.Power_cycle };
+      ]
+  in
+  expect_pass "power cycle" o;
+  Alcotest.(check int) "four invariants plus migration-safety per shard" 10
+    (List.length (recovered_verdicts o));
+  match o.F.sentinels with
+  | Some s -> Alcotest.(check int) "sentinels acked" 10 s.F.acked
+  | None -> Alcotest.fail "sentinels not read back"
+
+(* Migrate shard 0 onto fresh hosts, then lose power: a retired
+   source holds a wiped disk, or a stale prefix when its Leave failed,
+   so shard 0 must come back from a destination, which holds every
+   update the shard applied. *)
+let test_migrate_then_power_cycle () =
+  let shard0 = Shard_map.replica_hosts (Driver.placement durable_cfg) 0 in
+  let dest =
+    List.filteri
+      (fun i _ -> i < 3)
+      (List.filter (fun h -> not (List.mem h shard0)) (List.init 8 Fun.id))
+  in
+  let o =
+    run_durable
+      [
+        {
+          F.at = Time.ms 666;
+          action = F.Migrate { shard = 0; hosts = dest; timeout = None };
+        };
+        { F.at = Time.ms 1000; action = F.Power_cycle };
+      ]
+  in
+  expect_pass "migrate then power cycle" o;
+  Alcotest.(check bool) "recovered service judged" true
+    (recovered_verdicts o <> []);
+  match List.find_opt (fun sr -> sr.Service.sr_shard = 0) o.F.recovery with
+  | None -> Alcotest.fail "shard 0 not recovered"
+  | Some sr ->
+      if not (List.mem sr.Service.sr_creator dest) then
+        Alcotest.failf "shard 0 recovered from m%d, not a destination"
+          sr.Service.sr_creator
 
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -422,6 +520,11 @@ let suite =
       tc "chaos net profiles run as themselves" test_profiles_differ;
       tc "a Leave precedes the sends it releases (replays)"
         test_leave_order_replays;
+      tc "a failed deploy is a reported failure" test_failed_deploy_is_reported;
+      tc "a power cycle judges the recovered service"
+        test_power_cycle_judges_recovered;
+      tc "migrate then power cycle recovers from the destinations"
+        test_migrate_then_power_cycle;
       QCheck_alcotest.to_alcotest ~rand prop_migration_swarm;
       QCheck_alcotest.to_alcotest ~rand prop_migration_chaos_deterministic;
     ] )
