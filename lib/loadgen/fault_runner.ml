@@ -17,6 +17,7 @@ type step = { at : Time.t; action : action }
 
 type counters = {
   routers : Router.stats list;
+  coalesced : int;
   reads : int;
   writes_ok : int;
   writes_busy : int;
@@ -27,6 +28,7 @@ type counters = {
   queue_drops : int;
   storage : Stable_store.counters option;
   applied : (int * int) list array;
+  serving : bool;
 }
 
 type sentinels = { acked : int; lost : string list }
@@ -153,12 +155,14 @@ let run ?disk ?durable ?resilience ?(stale_reads = false) (cfg : Driver.config)
             act action))
       plan;
     let trial = Driver.drive d mode and net = cl.Cluster.net in
+    let over_epochs f = List.fold_left (fun a svc -> a + f svc) 0 !epochs in
     let counters =
       {
         routers = List.map Router.stats routers;
-        reads = Service.reads d.service;
-        writes_ok = Service.writes_ok d.service;
-        writes_busy = Service.writes_busy d.service;
+        coalesced = List.fold_left (fun a r -> a + Router.coalesced r) 0 routers;
+        reads = over_epochs Service.reads;
+        writes_ok = over_epochs Service.writes_ok;
+        writes_busy = over_epochs Service.writes_busy;
         utilisation = Medium.utilisation net;
         frames = Medium.frames_delivered net;
         bytes = Medium.bytes_delivered net;
@@ -172,6 +176,7 @@ let run ?disk ?durable ?resilience ?(stale_reads = false) (cfg : Driver.config)
               { c with Stable_store.kv_writes = c.Stable_store.kv_writes })
             durable;
         applied = Array.init cfg.shards (Service.applied (current ()));
+        serving = !cuts < List.length !epochs;
       }
     in
     (* Quiesce, then judge each epoch: one that a power cycle ended
@@ -261,14 +266,15 @@ let pp_outcome ppf o =
         (sum (fun s -> s.Router.probes_dead));
       line
         "batching:  %d batches (%.1f ops/batch avg), %d partial flushes, %d \
-         batch retries"
+         batch retries, %d coalesced reads"
         batches
         (if batches = 0 then 1.
          else
            float_of_int (sum (fun s -> s.Router.ops_batched))
            /. float_of_int batches)
         (sum (fun s -> s.Router.partial_flushes))
-        (sum (fun s -> s.Router.batch_retries));
+        (sum (fun s -> s.Router.batch_retries))
+        c.coalesced;
       line "service:   %d reads, %d writes ok, %d busy rejections" c.reads
         c.writes_ok c.writes_busy;
       line
@@ -299,12 +305,14 @@ let pp_outcome ppf o =
     line "verdict:   %s" (if ok o then "PASS" else "FAIL");
   (* Per-replica applied counts when the run or an op failed: identical
      numbers mean a healthy group, divergent ones a fissioned
-     membership. *)
+     membership.  After a failed recovery no epoch serves, and the
+     counts are what the cut left on replicas that died with it. *)
   (match o.measured with
   | Some (t, c) when (not (ok o)) || t.Driver.completed < t.Driver.attempted ->
       Array.iteri
         (fun s hs ->
-          line "shard %d applied: %s" s
+          line "shard %d applied%s: %s" s
+            (if c.serving then "" else " at the cut")
             (String.concat " " (List.map (fun (h, a) -> Printf.sprintf "m%d:%d" h a) hs)))
         c.applied
   | _ -> ());

@@ -36,7 +36,9 @@ type step = { at : Time.t; action : action }
 
 type counters = {
   routers : Router.stats list;  (** one per router *)
-  reads : int;  (** the deployed service's request counters *)
+  coalesced : int;  (** {!Router.coalesced}, summed over the routers *)
+  reads : int;
+      (** the service's request counters, summed over every epoch *)
   writes_ok : int;
   writes_busy : int;
   utilisation : float;  (** the fabric's *)
@@ -46,7 +48,10 @@ type counters = {
   queue_drops : int;
   storage : Amoeba_grouplib.Stable_store.counters option;  (** with a disk *)
   applied : (int * int) list array;
-      (** per shard, (host, updates applied) of the serving service *)
+      (** per shard, (host, updates applied) of the newest epoch *)
+  serving : bool;
+      (** whether the newest epoch serves: false after a failed
+          recovery, when [applied] reads replicas that died at the cut *)
 }
 
 type sentinels = {

@@ -70,6 +70,7 @@ type t = {
   mutable s_partial_flushes : int;
   mutable s_batch_retries : int;
   mutable s_txns : int;
+  mutable s_coalesced : int;
 }
 
 (* Next replica to try: round-robin over the ones not currently
@@ -126,10 +127,10 @@ let suspect_host ss host =
    and kept across its retries. *)
 type frame = Single | Batch
 
-let encode frame items =
-  match (frame, items) with
-  | Single, [ (req, _) ] -> Kv.encode_request req
-  | _ -> Kv.encode_batch_request (List.map fst items)
+let encode frame reqs =
+  match (frame, reqs) with
+  | Single, [ req ] -> Kv.encode_request req
+  | _ -> Kv.encode_batch_request reqs
 
 let decode frame bytes =
   match frame with
@@ -220,8 +221,40 @@ let settle t jobs replies =
   in
   go [] jobs replies
 
+(* A frame's requests as they go on the wire: each distinct read once.
+   A get or stale get that repeats an earlier request of the frame, with
+   no put or del of its key between them, rides that earlier entry.
+   Returns the wire requests and, per request, the index of the wire
+   entry whose reply is its own. *)
+let coalesce reqs =
+  let seen = Hashtbl.create 16 in
+  let (_, wire), slots =
+    List.fold_left_map
+      (fun (n, wire) req ->
+        let ship () = ((n + 1, req :: wire), n) in
+        match req with
+        | Kv.Get _ | Kv.Stale_get _ -> (
+            match Hashtbl.find_opt seen req with
+            | Some i -> ((n, wire), i)
+            | None ->
+                Hashtbl.replace seen req n;
+                ship ())
+        | Kv.Put (k, _) | Kv.Del k ->
+            Hashtbl.remove seen (Kv.Get k);
+            Hashtbl.remove seen (Kv.Stale_get k);
+            ship ())
+      (0, []) reqs
+  in
+  (List.rev wire, slots)
+
 (* One try at the shard's next replica.  Returns the jobs still
-   unanswered and why. *)
+   unanswered and why.  The frame carries each distinct read once
+   ([coalesce]) and the reply vector is expanded back to one reply per
+   op before [settle].  That is exact: the replica answers every read
+   from the state at its own place in the round, and an entry and the
+   reads riding it sit at places no write of their key separates, so
+   the replica would have given each the entry's reply.  A [Busy] entry
+   refuses every op riding it, and each is retried with its job. *)
 let attempt_once t client ss frame jobs =
   match pick ss with
   | None -> (jobs, No_endpoint)
@@ -232,16 +265,23 @@ let attempt_once t client ss frame jobs =
          post-call verdict must land on the endpoint actually tried — not
          index out of bounds in the fresh state. *)
       let eps = ss.eps and suspect = ss.suspect in
-      let ep = eps.(i) and sent = List.concat_map items jobs in
+      let ep = eps.(i) in
+      let sent = List.concat_map (fun job -> List.map fst (items job)) jobs in
+      let wire, slots = coalesce sent in
+      let n_wire = List.length wire in
+      t.s_coalesced <- t.s_coalesced + List.length sent - n_wire;
       match
         Rpc.call client ~dst:ep.Service.ep_addr ~timeout:t.timeout ~retries:1
-          (encode frame sent)
+          (encode frame wire)
       with
       | Ok bytes -> (
           suspect.(i) <- false;
           match decode frame bytes with
-          | Some replies when List.length replies = List.length sent ->
-              let refused = settle t jobs replies in
+          | Some replies when List.length replies = n_wire ->
+              let replies = Array.of_list replies in
+              let refused =
+                settle t jobs (List.map (Array.get replies) slots)
+              in
               (List.map fst refused, Refused (ep, List.concat_map snd refused))
           | Some _ | None -> (jobs, Garbled))
       | Error `No_route -> (jobs, No_route ep)
@@ -407,6 +447,7 @@ let create flip ?pipeline ?(max_batch = 1) ?(batch_delay = Time.us 500)
       s_partial_flushes = 0;
       s_batch_retries = 0;
       s_txns = 0;
+      s_coalesced = 0;
     }
   in
   Array.iter
@@ -537,3 +578,5 @@ let stats t =
     stale_gets = t.s_stale_gets;
     txns = t.s_txns;
   }
+
+let coalesced t = t.s_coalesced

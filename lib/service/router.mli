@@ -76,10 +76,20 @@ val create :
     out as its single ops followed by its transactions, each
     transaction's ops together; the replica answers each read at its
     own place in the round, so transactions on a common key share a
-    batch.  At the default 1 every request ships alone: a lone op in
-    the single-op frame, a transaction in the batch frame.  A
-    timed-out batch is retried whole, a partly refused one only its
-    refused single ops and transactions; the fresh uid every write
+    batch.  A batch frame carries each distinct read once: a get (or
+    stale get) that repeats an earlier request of the frame, with no
+    put or del of its key laid out between them, rides that earlier
+    entry, and the entry's reply is copied back to every op riding it
+    before the replies are fanned out ({!coalesced} counts them).
+    This is exact, not a cache: the replica reads each op at its own
+    place in the round, and no write of the key separates an entry
+    from the ops riding it, so the replica would have answered them
+    alike; a transaction's get of a key it writes sits behind that
+    write and never rides a get ahead of it.  At the default 1 every
+    request ships alone: a lone op in the single-op frame, a
+    transaction in the batch frame.  A timed-out batch is retried
+    whole, a partly refused one only its refused single ops and
+    transactions, each coalesced afresh; the fresh uid every write
     carries makes the replay safe (idempotent under the checker's
     no-duplicates invariant). *)
 
@@ -139,6 +149,11 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val coalesced : t -> int
+(** Reads left off the wire because an earlier entry of the same frame
+    answers them (see {!create}), summed over every frame sent, a
+    retry's included. *)
 
 val update_endpoints : t -> Service.endpoint array array -> unit
 (** Swaps in a fresh per-shard endpoint map — the handoff after

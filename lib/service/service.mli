@@ -142,6 +142,9 @@ val group_info : t -> int -> (int * Api.info) list
     its group kernel's counters, repair traffic included. *)
 
 val reads : t -> int
+(** Reads served, counted as they arrive on the wire: a router sends a
+    frame's repeated reads of one key once ({!Router.coalesced}), so
+    this counts read requests, not client reads. *)
 
 val writes_ok : t -> int
 
@@ -224,7 +227,9 @@ val sequencer_of : t -> int -> int
 
 val shard_ops : t -> int array
 (** Requests handled per shard since deployment (reads + writes +
-    batched ops) — the load signal a {!Rebalancer} samples. *)
+    batched ops) — the load signal a {!Rebalancer} samples.  Like
+    {!reads} it counts the requests on the wire: a read a router
+    coalesced into an earlier one of its frame is not counted. *)
 
 val check_migration : t -> shard:int -> crashed:int list -> Checker.verdict
 (** Just the {!Checker.migration_safety} verdict for one shard — for

@@ -505,6 +505,45 @@ let test_migrate_then_power_cycle () =
         Alcotest.failf "shard 0 recovered from m%d, not a destination"
           sr.Service.sr_creator
 
+(* The service counters sum every epoch: a power cycle replaces the
+   service, and the writes the first one acked still count. *)
+let test_counters_span_epochs () =
+  let o = run_durable [ { F.at = Time.ms 1000; action = F.Power_cycle } ] in
+  expect_pass "power cycle" o;
+  match o.F.measured with
+  | None -> Alcotest.fail "nothing measured"
+  | Some (t, c) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d writes ok cover %d completed updates"
+           c.F.writes_ok t.Driver.updates)
+        true
+        (t.Driver.updates > 0 && c.F.writes_ok >= t.Driver.updates)
+
+(* A recovery that fails leaves no epoch serving: the applied counts
+   the report prints are those of replicas that died at the cut, and
+   say so. *)
+let test_failed_recovery_labels_applied () =
+  let c =
+    {
+      (F.chaos ~seed:350) with
+      F.net = Result.get_ok (Medium.net_of_string "switch+adversarial");
+      crash_source = true;
+      crash_dest = true;
+      power_cycle = true;
+    }
+  in
+  let o = F.run_chaos c in
+  (match o.F.failure with
+  | Some e when String.starts_with ~prefix:"recovery: " e -> ()
+  | _ -> Alcotest.failf "%s: the recovery did not fail" (F.replay_line c));
+  let lines = String.split_on_char '\n' (report o) in
+  let with_prefix p = List.filter (String.starts_with ~prefix:p) lines in
+  Alcotest.(check int) "per-shard counts at the cut" 2
+    (List.length (with_prefix "shard 0 applied at the cut: ")
+    + List.length (with_prefix "shard 1 applied at the cut: "));
+  Alcotest.(check (list string)) "none claimed as serving" []
+    (with_prefix "shard 0 applied: " @ with_prefix "shard 1 applied: ")
+
 let suite =
   let tc name f = Alcotest.test_case name `Quick f in
   let rand = Random.State.make [| 0x316A7E |] in
@@ -525,6 +564,9 @@ let suite =
         test_power_cycle_judges_recovered;
       tc "migrate then power cycle recovers from the destinations"
         test_migrate_then_power_cycle;
+      tc "the service counters span every epoch" test_counters_span_epochs;
+      tc "a failed recovery's applied counts are labelled"
+        test_failed_recovery_labels_applied;
       QCheck_alcotest.to_alcotest ~rand prop_migration_swarm;
       QCheck_alcotest.to_alcotest ~rand prop_migration_chaos_deterministic;
     ] )

@@ -5,10 +5,11 @@
    op with whatever the test says, so each row of the policy table
    (outcome -> action) is checked on its own, once for a lone op, once
    for a gathered batch and once for a transaction.  Then how a batch
-   is laid out around transactions, a transaction retried whole, and
-   the two directed fixes: a [Wrong_shard] reply fails the op instead
-   of wedging the shard's pipeline, and an expelled replica is treated
-   as a dead endpoint. *)
+   is laid out around transactions, a transaction retried whole, how
+   a frame carries each distinct read once, and the two directed
+   fixes: a [Wrong_shard] reply fails the op instead of wedging the
+   shard's pipeline, and an expelled replica is treated as a dead
+   endpoint. *)
 
 open Amoeba_sim
 open Amoeba_net
@@ -29,6 +30,7 @@ type fake = {
   mutable answer : (Kv.request -> Kv.reply) option;
       (* each op's reply, op by op; [None]: silence *)
   mutable frames : frame list;  (* every frame decoded, newest first *)
+  mutable payloads : bytes list;  (* their bytes, newest first *)
 }
 
 (* Every op gets [rep]; [None]: silence. *)
@@ -54,6 +56,7 @@ let fake_replica cl host =
             };
           answer = Some (fun _ -> Kv.Written);
           frames = [];
+          payloads = [];
         }
       in
       let serve payload =
@@ -67,6 +70,7 @@ let fake_replica cl host =
               }
         in
         f.frames <- frame :: f.frames;
+        f.payloads <- payload :: f.payloads;
         match f.answer with
         | None ->
             Engine.sleep eng (Time.sec 60);
@@ -527,6 +531,149 @@ let test_backlog_ships_in_one_frame () =
         true
         (elapsed < Time.ms 100))
 
+(* ---------- a frame reads each key once ---------- *)
+
+(* Answers like a replica that reads each op at its own place in the
+   frame: a get sees every write laid out ahead of it.  The store
+   starts as [init] and keeps its writes across frames. *)
+let store_answer init =
+  let st = Hashtbl.create 8 in
+  List.iter (fun (k, v) -> Hashtbl.replace st k v) init;
+  function
+  | Kv.Get k | Kv.Stale_get k -> (
+      match Hashtbl.find_opt st k with
+      | Some v -> Kv.Value v
+      | None -> Kv.Not_found)
+  | Kv.Put (k, v) ->
+      Hashtbl.replace st k v;
+      Kv.Written
+  | Kv.Del k ->
+      Hashtbl.remove st k;
+      Kv.Written
+
+let gets router k n = List.init n (fun _ () -> Router.get router k)
+
+(* Three waiters' gets of one key, gathered into one batch, ship as one
+   get, and each waiter gets the value. *)
+let test_repeated_gets_ship_once () =
+  with_fake_shard ~max_batch:32 (fun cl _ router f ->
+      let replies = concurrently cl (gets router "k" 3) in
+      check_frames "one get on the wire"
+        [ { batched = true; reqs = [ Kv.Get "k" ] } ]
+        f;
+      Alcotest.(check (list string))
+        "every waiter answered" [ "Value v"; "Value v"; "Value v" ]
+        (List.map show replies);
+      Alcotest.(check int) "two coalesced" 2 (Router.coalesced router))
+
+(* A put between two gets of its key keeps both gets on the wire, and
+   the later one reads the put. *)
+let test_write_between_keeps_both () =
+  with_fake_shard ~max_batch:32 (fun cl _ router f ->
+      f.answer <- Some (store_answer [ ("k", "old") ]);
+      let replies =
+        concurrently cl
+          [
+            (fun () -> Router.get router "k");
+            (fun () -> Router.put router "k" "v");
+            (fun () -> Router.get router "k");
+          ]
+      in
+      check_frames "all three shipped"
+        [
+          {
+            batched = true;
+            reqs = [ Kv.Get "k"; Kv.Put ("k", "v"); Kv.Get "k" ];
+          };
+        ]
+        f;
+      Alcotest.(check (list string))
+        "the later get reads the put"
+        [ "Value old"; "Written"; "Value v" ]
+        (List.map show replies);
+      Alcotest.(check int) "none coalesced" 0 (Router.coalesced router))
+
+(* A transaction lays its writes before its reads, so its get of a key
+   it writes never rides a single get ahead of it and returns its own
+   write; its get of a key it only reads does ride one. *)
+let test_txn_get_of_its_write () =
+  with_fake_shard ~max_batch:32 (fun cl _ router f ->
+      f.answer <- Some (store_answer [ ("k", "old"); ("j", "j0") ]);
+      let replies =
+        concurrently cl
+          [
+            (fun () -> [ Router.get router "k" ]);
+            (fun () -> [ Router.get router "j" ]);
+            (fun () ->
+              txn router [ Router.Get "k"; Router.Get "j"; put "k" "t" ]);
+          ]
+      in
+      check_frames "the txn's get of k ships, its get of j rides"
+        [
+          {
+            batched = true;
+            reqs = [ Kv.Get "k"; Kv.Get "j"; Kv.Put ("k", "t"); Kv.Get "k" ];
+          };
+        ]
+        f;
+      Alcotest.(check (list (list string)))
+        "every op answered"
+        [ [ "Value old" ]; [ "Value j0" ]; [ "Value t"; "Value j0"; "Written" ] ]
+        (List.map (List.map show) replies);
+      Alcotest.(check int) "one coalesced" 1 (Router.coalesced router))
+
+(* A coalesced get refused [Busy] is retried, coalesced again, and
+   answered for every waiter. *)
+let test_coalesced_busy_retried () =
+  with_fake_shard ~max_batch:32 (fun cl _ router f ->
+      f.answer <-
+        Some
+          (fun _ ->
+            if List.length f.frames = 1 then
+              Kv.Busy (Kv.Submit_failed T.Sequencer_unreachable)
+            else Kv.Value "v");
+      let replies = concurrently cl (gets router "k" 3) in
+      let once = { batched = true; reqs = [ Kv.Get "k" ] } in
+      check_frames "one get per attempt" [ once; once ] f;
+      Alcotest.(check (list string))
+        "every waiter answered" [ "Value v"; "Value v"; "Value v" ]
+        (List.map show replies);
+      Alcotest.(check int) "one batch retry" 1
+        (Router.stats router).Router.batch_retries;
+      Alcotest.(check int) "two coalesced per attempt" 4
+        (Router.coalesced router))
+
+(* Without a repeated read the frame goes on the wire as before: the
+   batch encoding of every op in layout order, and a lone op's single-op
+   encoding. *)
+let test_distinct_frame_unchanged () =
+  with_fake_shard ~max_batch:32 (fun cl _ router f ->
+      ignore
+        (concurrently cl
+           [
+             (fun () -> [ Router.get router "a" ]);
+             (fun () -> [ Router.put router "b" "v" ]);
+             (fun () -> [ Router.get router "c" ]);
+             (fun () -> txn router [ Router.Get "d"; put "e" "x" ]);
+           ]);
+      ignore (Router.get router "z");
+      Alcotest.(check (list string))
+        "the encodings of every op"
+        (List.map Bytes.to_string
+           [
+             Kv.encode_batch_request
+               [
+                 Kv.Get "a";
+                 Kv.Put ("b", "v");
+                 Kv.Get "c";
+                 Kv.Put ("e", "x");
+                 Kv.Get "d";
+               ];
+             Kv.encode_request (Kv.Get "z");
+           ])
+        (List.rev_map Bytes.to_string f.payloads);
+      Alcotest.(check int) "none coalesced" 0 (Router.coalesced router))
+
 (* ---------- Wrong_shard cannot wedge a shard's pipeline ---------- *)
 
 (* A router whose endpoint map has the two shards swapped sends a
@@ -718,6 +865,15 @@ let suite =
           test_full_burst_skips_the_timer;
         tc "a backlog ships whole, in one frame"
           test_backlog_ships_in_one_frame;
+        tc "repeated gets ship once" test_repeated_gets_ship_once;
+        tc "a write between two gets keeps both"
+          test_write_between_keeps_both;
+        tc "a txn's get of its own write never rides"
+          test_txn_get_of_its_write;
+        tc "a coalesced get refused busy is retried"
+          test_coalesced_busy_retried;
+        tc "a frame of distinct keys is unchanged"
+          test_distinct_frame_unchanged;
         tc "wrong shard fails fast" test_wrong_shard_fails_fast;
         tc "an expelled replica is a dead endpoint"
           test_expelled_replica_is_dead;
